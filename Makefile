@@ -50,7 +50,7 @@ bench:
 # bench-compare diffs. The pinned set covers selection (GreedyCover), the
 # mining pipeline (SumGen*), the E_v^r cache, the matcher hot paths, the
 # graph substrate, and the fgstore write/recovery paths.
-BENCH_CI_RE := BenchmarkGreedyCover|BenchmarkSumGen$$|BenchmarkSumGenParallel|BenchmarkSumGenPartitioned|BenchmarkErCacheHit|BenchmarkSumGenObs|BenchmarkMatchAtStar|BenchmarkMatchAtChain3|BenchmarkCoveredEdgesAt|BenchmarkErCacheGet|BenchmarkRHopEdges2|BenchmarkAddEdge|BenchmarkAddEdgeHighDegree|BenchmarkHasEdge|BenchmarkBuildPartition|BenchmarkWALAppend|BenchmarkRecoveryReplay
+BENCH_CI_RE := BenchmarkGreedyCover|BenchmarkSumGen$$|BenchmarkSumGenParallel|BenchmarkErCacheHit|BenchmarkSumGenObs|BenchmarkMatchAtStar|BenchmarkMatchAtChain3|BenchmarkCoveredEdgesAt|BenchmarkErCacheGet|BenchmarkRHopEdges2|BenchmarkAddEdge|BenchmarkAddEdgeHighDegree|BenchmarkHasEdge|BenchmarkWALAppend|BenchmarkRecoveryReplay
 
 # The raw stream is also condensed into BENCH_<date>-summary.json — a compact
 # sorted {name, ns_per_op, bytes_per_op, allocs_per_op} array for dashboards
@@ -79,7 +79,6 @@ SCALE_NODES ?= 1000000
 SCALE_DURATION ?= 20s
 SCALE_BATCH ?= 4096
 SCALE_ROUNDS ?= 3
-SCALE_SHARDS ?= 8
 SCALE_MEM_MB ?= 8192
 
 bench-scale:
@@ -89,18 +88,14 @@ bench-scale:
 		-scale-graph "lki-$(SCALE_NODES).fgsb" -scale-duration $(SCALE_DURATION) \
 		-scale-write-interval 0 -scale-write-batch $(SCALE_BATCH) \
 		-scale-max-views 3 -scale-rounds $(SCALE_ROUNDS) \
-		-scale-shards $(SCALE_SHARDS) \
 		-scale-mem-ceiling-mb $(SCALE_MEM_MB) -scale-out scale-results.json
 
 # bench-scale-smoke is the CI-sized variant: small graph, short windows,
-# tight memory ceiling — it exists to fail loudly if the MVCC read path,
-# the sized generators, or the partitioned summarize path regress, not to
-# produce publishable numbers. -scale-shards 4 exercises the focus-region
-# partition build and the sharded compute inside the same heap ceiling.
+# tight memory ceiling — it exists to fail loudly if the MVCC read path or
+# the sized generators regress, not to produce publishable numbers.
 bench-scale-smoke:
 	$(GO) run ./cmd/fgsbench -scale-bench \
 		-scale-nodes 150000 -scale-duration 5s \
 		-scale-readers 4 -scale-writers 1 \
 		-scale-write-interval 0 -scale-write-batch 256 -scale-max-views 3 \
-		-scale-shards 4 \
 		-scale-mem-ceiling-mb 2048 -scale-out scale-smoke.json

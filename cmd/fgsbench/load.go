@@ -245,7 +245,7 @@ func report(w io.Writer, samples []loadSample, elapsed time.Duration) {
 
 // loadStageNames is the column order of the server-side breakdown — the
 // pipeline order of fgsd's request stages.
-var loadStageNames = []string{"cache", "admission", "pin", "partition", "compute", "encode"}
+var loadStageNames = []string{"cache", "admission", "pin", "compute", "encode"}
 
 // reportStages prints the server-side stage breakdown: the mean time each
 // endpoint spent per pipeline stage, as reported by the server itself via

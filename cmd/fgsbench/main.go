@@ -64,7 +64,6 @@ func main() {
 		scaleCache      = flag.Int("scale-cache-entries", 0, "scale mode: result-cache capacity (0 = server default, -1 = disabled for a pure-compute comparison)")
 		scaleDistinct   = flag.Int("scale-distinct-views", 64, "scale mode: distinct attribute-literal view patterns in the read mix (all invalidated on every epoch bump)")
 		scaleRounds     = flag.Int("scale-rounds", 1, "scale mode: interleaved locked/mvcc round pairs; the median round per mode is reported (medians filter scheduler/GC noise on shared hosts)")
-		scaleShards     = flag.Int("scale-shards", 0, "scale mode: focus-region shards for the summarize-throughput comparison (0 or 1 = skip it)")
 		scaleMemCeiling = flag.Int("scale-mem-ceiling-mb", 0, "scale mode: fail if peak heap exceeds this many MB (0 = no ceiling)")
 		scaleOut        = flag.String("scale-out", "", "scale mode: also write the JSON result to this file")
 	)
@@ -101,7 +100,6 @@ func main() {
 			CacheEntries:  *scaleCache,
 			DistinctViews: *scaleDistinct,
 			Rounds:        *scaleRounds,
-			Shards:        *scaleShards,
 			MemCeilingMB:  *scaleMemCeiling,
 			OutPath:       *scaleOut,
 		})

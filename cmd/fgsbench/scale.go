@@ -74,13 +74,7 @@ type scaleConfig struct {
 	// median round per mode (by read throughput). On shared or single-core
 	// hosts a GC cycle or a noisy neighbour can land inside one mode's
 	// window; interleaving plus the median filters that out.
-	Rounds int
-	// Shards, when ≥ 2, adds the summarize-throughput comparison: after the
-	// mixed-workload rounds, single summarize requests are issued
-	// sequentially (cache disabled, no concurrent load) against a sharded
-	// mvcc engine and an unpartitioned one, and the median latencies are
-	// compared. 0 or 1 skips the section.
-	Shards       int
+	Rounds       int
 	MemCeilingMB int
 	OutPath      string // write the JSON result here ("" = stdout table only)
 }
@@ -107,19 +101,6 @@ type scaleModeResult struct {
 	PublishP99Us  float64 `json:"publish_p99_us,omitempty"`
 }
 
-// scaleSummarize is the partition-parallel summarize comparison: median
-// single-request latency against a sharded engine vs an unpartitioned one,
-// measured sequentially with the result cache disabled so every request is a
-// fresh APXFGS compute.
-type scaleSummarize struct {
-	Shards           int     `json:"shards"`
-	BaselineOps      int     `json:"baseline_ops"`
-	BaselineP50Ms    float64 `json:"baseline_p50_ms"`
-	ShardedOps       int     `json:"sharded_ops"`
-	ShardedP50Ms     float64 `json:"sharded_p50_ms"`
-	SummarizeSpeedup float64 `json:"speedup"`
-}
-
 // scaleResult is the full run, serialized as JSON for CI consumption. With
 // Rounds > 1, Modes holds each mode's median round and RoundSpeedups the
 // per-round ratios for transparency.
@@ -129,11 +110,9 @@ type scaleResult struct {
 	Edges         int               `json:"edges"`
 	LoadSeconds   float64           `json:"load_seconds"`
 	Rounds        int               `json:"rounds"`
-	Shards        int               `json:"shards"`
 	Modes         []scaleModeResult `json:"modes"`
 	RoundSpeedups []float64         `json:"round_speedups,omitempty"`
 	ReadSpeedup   float64           `json:"read_speedup"`
-	Summarize     *scaleSummarize   `json:"summarize,omitempty"`
 	PeakHeapMB    float64           `json:"peak_heap_mb"`
 	MemCeilingMB  int               `json:"mem_ceiling_mb"`
 	WithinCeiling bool              `json:"within_ceiling"`
@@ -184,7 +163,7 @@ func runScale(w io.Writer, cfg scaleConfig) error {
 	if rounds < 1 {
 		rounds = 1
 	}
-	res := scaleResult{MemCeilingMB: cfg.MemCeilingMB, Rounds: rounds, Shards: cfg.Shards}
+	res := scaleResult{MemCeilingMB: cfg.MemCeilingMB, Rounds: rounds}
 	perMode := map[string][]scaleModeResult{}
 	for round := 0; round < rounds; round++ {
 		for _, mode := range []string{"locked", "mvcc"} {
@@ -216,13 +195,6 @@ func runScale(w io.Writer, cfg scaleConfig) error {
 			// Drop the engine and its replicas before the next mode boots.
 			runtime.GC()
 		}
-	}
-	if cfg.Shards > 1 {
-		sm, err := runScaleSummarize(cfg, label, attr, values, lower, upper)
-		if err != nil {
-			return err
-		}
-		res.Summarize = sm
 	}
 	stopSampling()
 
@@ -391,67 +363,6 @@ func runScaleMode(g *fgs.Graph, groups *fgs.Groups, mode string, cfg scaleConfig
 	return mr, nil
 }
 
-// runScaleSummarize measures the partition-parallel win directly: median
-// single-request summarize latency on an otherwise idle engine,
-// unpartitioned vs sharded, over identical fresh graphs. Requests run
-// sequentially with the result cache disabled, so each sample is one full
-// APXFGS compute; the loop is time-boxed by the scale duration with a
-// minimum of three samples per engine.
-func runScaleSummarize(cfg scaleConfig, label, attr string, values []string, lower, upper int) (*scaleSummarize, error) {
-	const maxSamples = 64
-	out := &scaleSummarize{Shards: cfg.Shards}
-	for _, shards := range []int{0, cfg.Shards} {
-		g, _, err := buildScaleGraph(cfg)
-		if err != nil {
-			return nil, err
-		}
-		groups, err := datasets.GroupsByAttr(g, label, attr, values, lower, upper)
-		if err != nil {
-			return nil, fmt.Errorf("scale-bench: groups: %w", err)
-		}
-		srv, err := fgs.NewServer(g, groups, fgs.ServerConfig{
-			Workers:      runtime.GOMAXPROCS(0),
-			CacheEntries: -1,
-			Deadline:     10 * time.Minute,
-			ReadMode:     "mvcc",
-			MaxViews:     cfg.MaxViews,
-			Shards:       shards,
-		})
-		if err != nil {
-			return nil, err
-		}
-		h := srv.Handler()
-		var lats []time.Duration
-		deadline := time.Now().Add(cfg.Duration)
-		for len(lats) < 3 || (time.Now().Before(deadline) && len(lats) < maxSamples) {
-			req := httptest.NewRequest(http.MethodPost, "/v1/summarize", strings.NewReader(`{}`))
-			req.Header.Set("Content-Type", "application/json")
-			rec := httptest.NewRecorder()
-			t0 := time.Now()
-			h.ServeHTTP(rec, req)
-			if rec.Code != http.StatusOK {
-				return nil, fmt.Errorf("scale-bench: summarize (shards=%d) returned %d: %s", shards, rec.Code, rec.Body.String())
-			}
-			lats = append(lats, time.Since(t0))
-		}
-		sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
-		med := ms(permille(lats, 500))
-		if shards == 0 {
-			out.BaselineOps = len(lats)
-			out.BaselineP50Ms = med
-		} else {
-			out.ShardedOps = len(lats)
-			out.ShardedP50Ms = med
-		}
-		fmt.Fprintf(os.Stderr, "fgsbench: scale summarize shards=%d: %d requests, p50 %.2fms\n", shards, len(lats), med)
-		runtime.GC()
-	}
-	if out.ShardedP50Ms > 0 {
-		out.SummarizeSpeedup = out.BaselineP50Ms / out.ShardedP50Ms
-	}
-	return out, nil
-}
-
 // medianByRPS picks the round with the median read throughput (lower-middle
 // for even counts) — the representative round on noisy hosts.
 func medianByRPS(rounds []scaleModeResult) scaleModeResult {
@@ -593,10 +504,6 @@ func printScale(w io.Writer, res scaleResult) {
 		fmt.Fprint(w, ")")
 	}
 	fmt.Fprintln(w)
-	if sm := res.Summarize; sm != nil {
-		fmt.Fprintf(w, "summarize (sequential, cache off): baseline p50 %.2fms (%d reqs), %d shards p50 %.2fms (%d reqs) — %.2fx\n",
-			sm.BaselineP50Ms, sm.BaselineOps, sm.Shards, sm.ShardedP50Ms, sm.ShardedOps, sm.SummarizeSpeedup)
-	}
 	fmt.Fprintf(w, "peak heap: %.0f MB (ceiling %d MB, within: %v)\n",
 		res.PeakHeapMB, res.MemCeilingMB, res.WithinCeiling)
 }

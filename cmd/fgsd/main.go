@@ -67,7 +67,6 @@ func main() {
 		embedCap  = flag.Int("embed-cap", 0, "embedding enumeration cap for view/workload queries (0 = default)")
 		readMode  = flag.String("read-mode", "mvcc", "read path: mvcc (epoch-snapshot views) or locked (RWMutex baseline)")
 		maxViews  = flag.Int("max-views", 0, "MVCC replica pool cap; bounds graph memory to max-views copies (0 = default 3, min 2)")
-		shards    = flag.Int("shards", 0, "focus-region shards per epoch view for partition-parallel summarization (0 or 1 = off; mvcc mode only)")
 		drainFor  = flag.Duration("drain-timeout", 30*time.Second, "max time to wait for in-flight requests on shutdown")
 
 		dataDir   = flag.String("data-dir", "", "fgstore data directory for WAL + snapshots (empty = in-memory only, state lost on exit)")
@@ -196,7 +195,6 @@ func main() {
 		EmbedCap:       *embedCap,
 		ReadMode:       *readMode,
 		MaxViews:       *maxViews,
-		Shards:         *shards,
 		Obs:            observer,
 		DisableTracing: *noTrace,
 		FlightEvents:   *flightEvts,
@@ -232,7 +230,7 @@ func main() {
 	go func() { errc <- httpSrv.ListenAndServe() }()
 	log.Info("serving",
 		"addr", *addr, "workers", *workers, "cache", *cacheEnt,
-		"deadline", *deadline, "read_mode", *readMode, "shards", *shards,
+		"deadline", *deadline, "read_mode", *readMode,
 		"tracing", !*noTrace, "slow_request", *slowReq, "log_format", *logFormat)
 
 	select {

@@ -19,7 +19,6 @@
 //	maporder        map iteration order reaching an append/write path unsorted
 //	detrand         global math/rand, unseeded rand.New, time.Now in deterministic packages
 //	nopanic         panic/log.Fatal/os.Exit in library packages
-//	lockdiscipline  copied mutex-bearing structs; locks passed by value
 //	pairdiscipline  acquire without release on some path (locks, pins, slots, spans, pools)
 //	frozenview      mutation of a frozen MVCC read view
 //	errdrop         discarded error returns in library packages

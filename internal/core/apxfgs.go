@@ -35,7 +35,9 @@ func APXFGS(g *graph.Graph, groups *submod.Groups, util submod.Utility, cfg Conf
 	}
 
 	sp = run.phase(PhaseMine)
-	src, cands := mineCandidates(g, vp, &cfg, run)
+	er := mining.NewErCache(g, cfg.R)
+	run.register(er)
+	cands := mining.SumGen(g, vp, vp, cfg.Mining, er)
 	sp.SetArg("candidates", int64(len(cands)))
 	sp.End()
 
@@ -44,25 +46,7 @@ func APXFGS(g *graph.Graph, groups *submod.Groups, util submod.Utility, cfg Conf
 	sp.SetArg("patterns", int64(len(chosen)))
 	sp.End()
 
-	return buildSummary(cfg, chosen, src, util, uncovered, run.finish(len(cands), 0)), nil
-}
-
-// mineCandidates runs SumGen for the batch algorithms, routing through the
-// focus-region partition when cfg.Mining.Regions covers the selection (the
-// server attaches per-epoch regions there; library callers usually leave it
-// nil). The returned erSource is where summary assembly must read E_X^r
-// from: the shard caches when partitioned — so no global-graph BFS runs at
-// all — or a fresh flat cache otherwise. Candidate sets and the final
-// summary are byte-identical on both routes.
-func mineCandidates(g *graph.Graph, vp []graph.NodeID, cfg *Config, run *runObs) (erSource, []*mining.Candidate) {
-	if regions := cfg.Mining.Regions; regions.Covers(g, vp, cfg.R) {
-		run.register(regions)
-		return regions, mining.SumGen(g, vp, vp, cfg.Mining, nil)
-	}
-	cfg.Mining.Regions = nil
-	er := mining.NewErCache(g, cfg.R)
-	run.register(er)
-	return er, mining.SumGen(g, vp, vp, cfg.Mining, er)
+	return buildSummary(cfg, chosen, er, util, uncovered, run.finish(len(cands), 0)), nil
 }
 
 // coverState tracks the partial summary during the greedy loops. Candidate

@@ -37,23 +37,25 @@ func KAPXFGS(g *graph.Graph, groups *submod.Groups, util submod.Utility, cfg Con
 	}
 
 	sp = run.phase(PhaseMine)
-	src, cands := mineCandidates(g, vp, &cfg, run)
+	er := mining.NewErCache(g, cfg.R)
+	run.register(er)
+	cands := mining.SumGen(g, vp, vp, cfg.Mining, er)
 	sp.SetArg("candidates", int64(len(cands)))
 	sp.End()
 
 	sp = run.phase(PhaseSummarize)
-	chosen, uncovered := maxCoverSelect(cands, vp, cfg, src, run.reg)
+	chosen, uncovered := maxCoverSelect(cands, vp, cfg, er, run.reg)
 	sp.SetArg("patterns", int64(len(chosen)))
 	sp.End()
 
-	return buildSummary(cfg, chosen, src, util, uncovered, run.finish(len(cands), 0)), nil
+	return buildSummary(cfg, chosen, er, util, uncovered, run.finish(len(cands), 0)), nil
 }
 
 // maxCoverSelect picks up to k candidates maximizing edge coverage of
 // E^r_{V_p}, then repairs V_p node coverage by swapping. Iteration counters
 // (rounds, candidate scans, repair swaps) are reported to reg at the end —
 // zero overhead inside the loops, nothing when reg is nil.
-func maxCoverSelect(cands []*mining.Candidate, vp []graph.NodeID, cfg Config, er erSource, reg *obs.Registry) ([]PatternInfo, []graph.NodeID) {
+func maxCoverSelect(cands []*mining.Candidate, vp []graph.NodeID, cfg Config, er *mining.ErCache, reg *obs.Registry) ([]PatternInfo, []graph.NodeID) {
 	var rounds, scans, swaps int64
 	defer func() {
 		reg.Add("fgs_cover_rounds_total", "Greedy cover rounds (patterns chosen).", nil, rounds)
@@ -64,14 +66,6 @@ func maxCoverSelect(cands []*mining.Candidate, vp []graph.NodeID, cfg Config, er
 	universe := er.UnionOf(vp)
 	chosenIdx := make([]int, 0, cfg.K)
 	used := make([]bool, len(cands))
-
-	// The marginal-gain loops below intersect every candidate's P_E bitset
-	// per round; candidates scored on a partition carry the compact ID form
-	// instead, so materialize their bitsets once up front.
-	bound := er.Graph().EdgeIDBound()
-	for _, cand := range cands {
-		cand.EdgeBits(bound)
-	}
 
 	// Greedy max coverage over edges; all three operand sets are dense
 	// bitsets, so each marginal gain is one word sweep.

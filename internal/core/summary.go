@@ -93,10 +93,8 @@ type PatternInfo struct {
 // paying a map allocation per selection.
 func infoOf(g *graph.Graph, cand *mining.Candidate) PatternInfo {
 	pi := PatternInfo{P: cand.P, Covered: cand.Covered, CP: cand.CP}
-	if g != nil && cand.HasEdges() {
-		// EdgeBits also materializes the bitset for candidates scored on a
-		// partition, which carry P_E as sorted global IDs instead.
-		pi.CoveredEdges = g.EdgeSetOf(cand.EdgeBits(g.EdgeIDBound()))
+	if g != nil && cand.CoveredEdges != nil {
+		pi.CoveredEdges = g.EdgeSetOf(cand.CoveredEdges)
 	}
 	return pi
 }
@@ -243,18 +241,8 @@ func sortNodes(ids []graph.NodeID) []graph.NodeID {
 	return ids
 }
 
-// erSource abstracts where summary assembly reads r-hop neighborhoods
-// from: the flat *mining.ErCache on the global path, or *mining.Regions
-// when the run was served from focus-region shards. Both return E_X^r in
-// the parent graph's EdgeID space, so the assembled summary is identical
-// regardless of the source.
-type erSource interface {
-	Graph() *graph.Graph
-	UnionOf([]graph.NodeID) *graph.EdgeBits
-}
-
 // buildSummary assembles the final structure from chosen patterns.
-func buildSummary(cfg Config, chosen []PatternInfo, er erSource, util submod.Utility, uncovered []graph.NodeID, stats Stats) *Summary {
+func buildSummary(cfg Config, chosen []PatternInfo, er *mining.ErCache, util submod.Utility, uncovered []graph.NodeID, stats Stats) *Summary {
 	coveredSet := graph.NewNodeSet(0)
 	coveredEdges := graph.NewEdgeSet(0)
 	cl := 0

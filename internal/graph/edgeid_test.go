@@ -171,3 +171,69 @@ func mustLabel(t *testing.T, g *Graph, label string) LabelID {
 	}
 	return lid
 }
+
+// TestEdgeIDBetweenMatchesEdgeIDOf drives every probe path of EdgeIDBetween
+// — the short out-list scan, the short in-list scan behind a long out-list,
+// the edge-index lookup when both lists are long, and the range guard — and
+// requires the same answer as the plain edge-index lookup EdgeIDOf.
+func TestEdgeIDBetweenMatchesEdgeIDOf(t *testing.T) {
+	g := New()
+	out := g.AddNode("hub", nil) // 11 out-edges, 10 in-edges
+	in := g.AddNode("hub", nil)  // 11 in-edges, 10 out-edges
+	leaf := func() NodeID { return g.AddNode("leaf", nil) }
+	mustAdd := func(from, to NodeID, label string) {
+		t.Helper()
+		if err := g.AddEdge(from, to, label); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var outLeaf NodeID
+	for i := 0; i < 10; i++ {
+		l := leaf()
+		mustAdd(out, l, "e")
+		mustAdd(leaf(), in, "e")
+		mustAdd(in, leaf(), "e")
+		mustAdd(leaf(), out, "e")
+		if i == 3 {
+			outLeaf = l
+		}
+	}
+	inLeaf := leaf()
+	mustAdd(outLeaf, inLeaf, "f")
+	mustAdd(out, in, "e")
+	lonely := leaf()
+	e, f := mustLabel(t, g, "e"), mustLabel(t, g, "f")
+	n := NodeID(g.NumNodes())
+
+	cases := []struct {
+		name     string
+		from, to NodeID
+		label    LabelID
+		want     bool
+	}{
+		{"short out-list hit", outLeaf, inLeaf, f, true},
+		{"short out-list miss", outLeaf, lonely, f, false},
+		{"long out-list, short in-list hit", out, outLeaf, e, true},
+		{"long out-list, short in-list miss", out, inLeaf, e, false},
+		{"both lists long hit", out, in, e, true},
+		{"both lists long wrong label", out, in, f, false},
+		{"short in-list wrong label", out, outLeaf, f, false},
+		{"reversed direction, short list", outLeaf, out, e, false},
+		{"reversed direction, both lists long", in, out, e, false},
+		{"from below range", -1, in, e, false},
+		{"from past range", n, in, e, false},
+		{"to past range behind a long out-list", out, n, e, false},
+	}
+	for _, c := range cases {
+		id, ok := g.EdgeIDBetween(c.from, c.to, c.label)
+		ref := EdgeRef{From: c.from, To: c.to, Label: c.label}
+		wantID, wantOK := g.EdgeIDOf(ref)
+		if ok != c.want || ok != wantOK || id != wantID {
+			t.Errorf("%s: EdgeIDBetween(%d, %d, %d) = %d, %v; EdgeIDOf = %d, %v; want found=%v",
+				c.name, c.from, c.to, c.label, id, ok, wantID, wantOK, c.want)
+		}
+		if ok && g.EdgeRefOf(id) != ref {
+			t.Errorf("%s: EdgeRefOf(%d) = %v, want %v", c.name, id, g.EdgeRefOf(id), ref)
+		}
+	}
+}

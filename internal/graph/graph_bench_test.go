@@ -85,23 +85,6 @@ func BenchmarkRHopEdges2(b *testing.B) {
 	}
 }
 
-// BenchmarkBuildPartition measures the per-epoch cost of the focus-region
-// partitioner: seeded center selection, multi-source BFS assignment, and the
-// compacted per-shard slice builds (DESIGN.md §14). This is the price paid
-// once per published epoch, amortized over every request served at it.
-func BenchmarkBuildPartition(b *testing.B) {
-	g := benchGraph(b, 5000, 20000)
-	focus := make([]NodeID, 0, 500)
-	for v := 0; v < 5000; v += 10 {
-		focus = append(focus, NodeID(v))
-	}
-	cfg := PartitionConfig{Shards: 8, R: 2, Seed: 42}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		BuildPartition(g, focus, cfg)
-	}
-}
-
 func BenchmarkEdgeSetMinus(b *testing.B) {
 	g := benchGraph(b, 2000, 8000)
 	a := g.RHopEdges(0, 3)

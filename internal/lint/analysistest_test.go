@@ -30,14 +30,6 @@ type want struct {
 // checks analyzer a's findings against the fixtures' want comments.
 func runFixture(t *testing.T, a *Analyzer, dirs ...string) {
 	t.Helper()
-	runFixtures(t, []*Analyzer{a}, dirs...)
-}
-
-// runFixtures is runFixture over a joint analyzer set, for fixtures whose
-// wants span analyzers (e.g. lockdiscipline copy checks + pairdiscipline
-// pairing on the same sources).
-func runFixtures(t *testing.T, as []*Analyzer, dirs ...string) {
-	t.Helper()
 	root := filepath.Join("testdata", "src")
 	loader, err := NewTreeLoader(root)
 	if err != nil {
@@ -51,7 +43,7 @@ func runFixtures(t *testing.T, as []*Analyzer, dirs ...string) {
 		}
 		pkgs = append(pkgs, pkg)
 	}
-	diags, err := RunAnalyzers(pkgs, as)
+	diags, err := RunAnalyzers(pkgs, []*Analyzer{a})
 	if err != nil {
 		t.Fatal(err)
 	}

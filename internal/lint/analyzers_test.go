@@ -18,12 +18,6 @@ func TestNoPanic(t *testing.T) {
 	runFixture(t, NoPanic, "nopanic", "nopanic/cmdfixture", "nopanic/httphandler")
 }
 
-func TestLockDiscipline(t *testing.T) {
-	// The historical fixture mixes copy-check wants (lockdiscipline) with
-	// pairing wants (now owned by pairdiscipline), so run both jointly.
-	runFixtures(t, []*Analyzer{LockDiscipline, PairDiscipline}, "lockdiscipline")
-}
-
 func TestPairDiscipline(t *testing.T) {
 	runFixture(t, PairDiscipline, "pairdiscipline")
 }
@@ -70,8 +64,8 @@ func TestAllowDirective(t *testing.T) {
 
 func TestByName(t *testing.T) {
 	all, err := ByName("all")
-	if err != nil || len(all) != 8 {
-		t.Fatalf("ByName(all) = %d analyzers, err %v; want 8, nil", len(all), err)
+	if err != nil || len(all) != 7 {
+		t.Fatalf("ByName(all) = %d analyzers, err %v; want 7, nil", len(all), err)
 	}
 	two, err := ByName("maporder, detrand")
 	if err != nil || len(two) != 2 || two[0] != MapOrder || two[1] != DetRand {

@@ -156,7 +156,7 @@ func (b *cfgBuilder) stmt(s ast.Stmt) {
 
 	case *ast.ExprStmt:
 		b.add(s)
-		if call, ok := unparen(s.X).(*ast.CallExpr); ok && b.terminal(call) {
+		if call, ok := ast.Unparen(s.X).(*ast.CallExpr); ok && b.terminal(call) {
 			b.jump(b.cfg.panicExit)
 		}
 

@@ -144,7 +144,7 @@ func bodyPollsContext(pass *Pass, body *ast.BlockStmt, ctxObj types.Object) bool
 		if sel.Sel.Name != "Done" && sel.Sel.Name != "Err" {
 			return true
 		}
-		id, ok := unparen(sel.X).(*ast.Ident)
+		id, ok := ast.Unparen(sel.X).(*ast.Ident)
 		if ok && pass.TypesInfo.Uses[id] == ctxObj {
 			found = true
 			return false

@@ -35,7 +35,7 @@ func runErrDrop(pass *Pass) error {
 		ast.Inspect(file, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.ExprStmt:
-				call, ok := unparen(n.X).(*ast.CallExpr)
+				call, ok := ast.Unparen(n.X).(*ast.CallExpr)
 				if !ok {
 					return true
 				}
@@ -47,7 +47,7 @@ func runErrDrop(pass *Pass) error {
 				if !allBlankLHS(n) || len(n.Rhs) != 1 {
 					return true
 				}
-				call, ok := unparen(n.Rhs[0]).(*ast.CallExpr)
+				call, ok := ast.Unparen(n.Rhs[0]).(*ast.CallExpr)
 				if !ok {
 					return true
 				}
@@ -67,7 +67,7 @@ func runErrDrop(pass *Pass) error {
 // is a deliberate selection, not a drop.
 func allBlankLHS(as *ast.AssignStmt) bool {
 	for _, l := range as.Lhs {
-		id, ok := unparen(l).(*ast.Ident)
+		id, ok := ast.Unparen(l).(*ast.Ident)
 		if !ok || id.Name != "_" {
 			return false
 		}
@@ -162,7 +162,7 @@ func latchingWriter(t types.Type) bool {
 
 // calleeText renders the callee for a diagnostic.
 func calleeText(call *ast.CallExpr) string {
-	switch fun := unparen(call.Fun).(type) {
+	switch fun := ast.Unparen(call.Fun).(type) {
 	case *ast.SelectorExpr:
 		return types.ExprString(fun)
 	case *ast.Ident:

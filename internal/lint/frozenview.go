@@ -2,8 +2,7 @@ package lint
 
 // FrozenView enforces the MVCC immutability contract (DESIGN.md §12): a
 // graph obtained through a read path — `acquireRead`, an `epochView`, a
-// `viewSet.pin`, `Graph.Snapshot`, or a focus-region shard
-// (`Partition.Shard` / `Shard.Graph`) — is a published, shared structure
+// `viewSet.pin`, or `Graph.Snapshot` — is a published, shared structure
 // that concurrent readers are traversing. Calling any mutating method on
 // it (the curated mutator set: AddNode/AddEdge/RemoveEdge on Graph, Intern
 // on Interner) corrupts readers at other epochs and breaks the
@@ -40,17 +39,11 @@ var frozenMutators = map[string]string{
 
 // frozenSources are the read-path entry points whose results are frozen:
 // method name → required receiver type name ("" = any receiver or plain
-// function). Shard/Graph cover the focus-region partition (DESIGN.md §14):
-// a shard handed out by Partition.Shard or Regions.Shard — and the
-// compacted CSR slice behind Shard.Graph — is built once per epoch and
-// shared by every request served at it, so it is frozen the same way a
-// pinned view is.
+// function).
 var frozenSources = map[string]string{
 	"acquireRead": "",
 	"Snapshot":    "Graph",
 	"pin":         "viewSet",
-	"Shard":       "",
-	"Graph":       "Shard",
 }
 
 // frozenContainers are named types whose fields are frozen views: reading
@@ -109,7 +102,7 @@ func checkFrozenBody(pass *Pass, body *ast.BlockStmt) {
 		if !ok {
 			return true
 		}
-		sel, ok := unparen(call.Fun).(*ast.SelectorExpr)
+		sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 		if !ok {
 			return true
 		}
@@ -133,7 +126,7 @@ func checkFrozenBody(pass *Pass, body *ast.BlockStmt) {
 // a read-path entry point, or a field read off a frozen container or an
 // already-tainted base.
 func isFrozenSource(pass *Pass, ts *taintSet, e ast.Expr) bool {
-	switch e := unparen(e).(type) {
+	switch e := ast.Unparen(e).(type) {
 	case *ast.CallExpr:
 		fn := calleeFunc(pass, e)
 		if fn == nil {
@@ -153,7 +146,7 @@ func isFrozenSource(pass *Pass, ts *taintSet, e ast.Expr) bool {
 				return false
 			}
 		}
-		base := unparen(e.X)
+		base := ast.Unparen(e.X)
 		if frozenContainers[typeNameOf(pass, base)] {
 			return true
 		}

@@ -9,13 +9,13 @@
 // syntactic analyzers: summary content must be byte-identical across runs
 // and worker counts, so map-iteration order must never reach an ordered
 // sink (maporder), the deterministic packages must not consult global
-// randomness or the wall clock (detrand), library code must return errors
-// instead of panicking (nopanic), and lock-bearing structs are never copied
-// (lockdiscipline). The control-flow analyzers run on the in-package
-// CFG/dataflow core (cfg.go, dataflow.go, taint.go): every acquire pairs
-// with a release on every path (pairdiscipline), published MVCC read views
-// are never mutated (frozenview), library packages never discard errors
-// (errdrop), and unbounded server loops poll their context (ctxpoll).
+// randomness or the wall clock (detrand), and library code must return
+// errors instead of panicking (nopanic). The control-flow analyzers run on
+// the in-package CFG/dataflow core (cfg.go, dataflow.go, taint.go): every
+// acquire pairs with a release on every path (pairdiscipline), published
+// MVCC read views are never mutated (frozenview), library packages never
+// discard errors (errdrop), and unbounded server loops poll their context
+// (ctxpoll). Copied locks are left to go vet's copylocks check.
 //
 // A finding can be suppressed with an escape-hatch comment on the flagged
 // line or the line directly above it:
@@ -177,11 +177,11 @@ func RunAnalyzers(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) 
 }
 
 // All returns the full fgslint analyzer suite in stable order. The first
-// four are the original syntactic checks; the last four are the
-// control-flow-aware suite built on the CFG/dataflow core (DESIGN.md §12).
+// three are the syntactic checks; the last four are the control-flow-aware
+// suite built on the CFG/dataflow core (DESIGN.md §12).
 func All() []*Analyzer {
 	return []*Analyzer{
-		MapOrder, DetRand, NoPanic, LockDiscipline,
+		MapOrder, DetRand, NoPanic,
 		PairDiscipline, FrozenView, ErrDrop, CtxPoll,
 	}
 }
@@ -200,7 +200,7 @@ func ByName(list string) ([]*Analyzer, error) {
 		name = strings.TrimSpace(name)
 		a, ok := byName[name]
 		if !ok {
-			return nil, fmt.Errorf("unknown analyzer %q (have maporder, detrand, nopanic, lockdiscipline, pairdiscipline, frozenview, errdrop, ctxpoll)", name)
+			return nil, fmt.Errorf("unknown analyzer %q (have maporder, detrand, nopanic, pairdiscipline, frozenview, errdrop, ctxpoll)", name)
 		}
 		out = append(out, a)
 	}

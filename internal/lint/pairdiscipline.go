@@ -3,8 +3,8 @@ package lint
 // PairDiscipline is the control-flow-aware acquire/release analyzer
 // (DESIGN.md §12): every resource named in the declarative pair table must
 // be released on every path from its acquisition to the function's return
-// — not merely somewhere in the same function, which is all the pre-CFG
-// lockdiscipline heuristic could check. It runs the generic must-pair
+// — not merely somewhere in the same function, which is all a syntactic
+// same-function heuristic can check. It runs the generic must-pair
 // dataflow (dataflow.go) over the function's CFG (cfg.go) and reports the
 // concrete leaking path.
 //
@@ -17,7 +17,6 @@ package lint
 //	Trace.Start, Span.Child,
 //	runObs.phase / End, finish        obs spans (core, obs)
 //	Graph.acquireScratch / release    BFS scratch buffers (graph)
-//	partitionSlot.beginBuild / call   partition-build singleflight (server)
 //	sync.Pool Get / Put               pooled scratch generally
 //
 // Results that are handed off — returned, stored in a struct, captured by a
@@ -97,12 +96,6 @@ var pairTable = []*pairSpec{
 		acquireRecv: "admission", acquireNames: names("acquire"),
 		releaseByCall: true, resultIdx: 0, errIdx: 1,
 		hint: "call the returned release func on every path (prefer defer)",
-	},
-	{
-		id: "partition beginBuild/release", mode: pairResult,
-		acquireRecv: "partitionSlot", acquireNames: names("beginBuild"),
-		releaseByCall: true, resultIdx: 0, errIdx: 1,
-		hint: "call the returned release func on every path (prefer defer) so the singleflight slot frees",
 	},
 	{
 		id: "span Start/End", mode: pairResult,
@@ -211,7 +204,7 @@ func runPairDiscipline(pass *Pass) error {
 // calleeFunc resolves a call's callee to a *types.Func when it is a named
 // function or method (through method-set selection).
 func calleeFunc(pass *Pass, call *ast.CallExpr) *types.Func {
-	switch fun := unparen(call.Fun).(type) {
+	switch fun := ast.Unparen(call.Fun).(type) {
 	case *ast.SelectorExpr:
 		if sel, ok := pass.TypesInfo.Selections[fun]; ok {
 			if fn, ok := sel.Obj().(*types.Func); ok {
@@ -264,7 +257,7 @@ func matchAcquire(pass *Pass, call *ast.CallExpr) *pairSpec {
 			continue
 		}
 		if spec.mode == pairRecv {
-			if _, ok := unparen(call.Fun).(*ast.SelectorExpr); !ok {
+			if _, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); !ok {
 				continue
 			}
 		}
@@ -275,7 +268,7 @@ func matchAcquire(pass *Pass, call *ast.CallExpr) *pairSpec {
 
 // exprObj resolves an identifier expression to its object.
 func exprObj(pass *Pass, e ast.Expr) types.Object {
-	id, ok := unparen(e).(*ast.Ident)
+	id, ok := ast.Unparen(e).(*ast.Ident)
 	if !ok {
 		return nil
 	}
@@ -322,7 +315,7 @@ func isDeferredClosure(fl *ast.FuncLit, parents []ast.Node) bool {
 		return false
 	}
 	call, ok := parents[n-1].(*ast.CallExpr)
-	if !ok || unparen(call.Fun) != ast.Node(fl) {
+	if !ok || ast.Unparen(call.Fun) != ast.Node(fl) {
 		return false
 	}
 	_, ok = parents[n-2].(*ast.DeferStmt)
@@ -482,7 +475,7 @@ func collectResources(pass *Pass, body *ast.BlockStmt) []*pairResource {
 			return
 		}
 		r := &pairResource{spec: spec, pos: call.Pos(), call: call}
-		sel, _ := unparen(call.Fun).(*ast.SelectorExpr)
+		sel, _ := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 		if sel != nil {
 			r.acquireText = types.ExprString(sel.X) + "." + sel.Sel.Name
 		} else {
@@ -535,7 +528,7 @@ func classifyBinding(pass *Pass, call *ast.CallExpr, spec *pairSpec, parents []a
 			i--
 			continue
 		}
-		if ta, ok := parents[i].(*ast.TypeAssertExpr); ok && unparen(ta.X) == exprOf(child) {
+		if ta, ok := parents[i].(*ast.TypeAssertExpr); ok && ast.Unparen(ta.X) == exprOf(child) {
 			child = parents[i]
 			i--
 			continue
@@ -550,7 +543,7 @@ func classifyBinding(pass *Pass, call *ast.CallExpr, spec *pairSpec, parents []a
 		return classifyAssign(pass, p, exprOf(child), spec)
 	case *ast.ValueSpec:
 		for vi, v := range p.Values {
-			if unparen(v) == exprOf(child) && len(p.Names) == len(p.Values) {
+			if ast.Unparen(v) == exprOf(child) && len(p.Names) == len(p.Values) {
 				return identObj(pass, p.Names[vi]), nil, bindTracked
 			}
 		}
@@ -570,7 +563,7 @@ func classifyBinding(pass *Pass, call *ast.CallExpr, spec *pairSpec, parents []a
 		// one expression.
 		if p.X == exprOf(child) && spec.releaseNames[p.Sel.Name] {
 			if i-1 >= 0 {
-				if pc, ok := parents[i-1].(*ast.CallExpr); ok && unparen(pc.Fun) == ast.Node(p) {
+				if pc, ok := parents[i-1].(*ast.CallExpr); ok && ast.Unparen(pc.Fun) == ast.Node(p) {
 					return nil, nil, bindPaired
 				}
 			}
@@ -592,7 +585,7 @@ func classifyAssign(pass *Pass, as *ast.AssignStmt, rhs ast.Expr, spec *pairSpec
 	// Find which RHS slot holds the acquire.
 	slot := -1
 	for i, r := range as.Rhs {
-		if unparen(r) == rhs || containsAssertOf(r, rhs) {
+		if ast.Unparen(r) == rhs || containsAssertOf(r, rhs) {
 			slot = i
 			break
 		}
@@ -633,14 +626,14 @@ func classifyAssign(pass *Pass, as *ast.AssignStmt, rhs ast.Expr, spec *pairSpec
 // containsAssertOf reports whether e is a type assertion (possibly
 // parenthesized) over rhs.
 func containsAssertOf(e, rhs ast.Expr) bool {
-	if ta, ok := unparen(e).(*ast.TypeAssertExpr); ok {
-		return unparen(ta.X) == rhs
+	if ta, ok := ast.Unparen(e).(*ast.TypeAssertExpr); ok {
+		return ast.Unparen(ta.X) == rhs
 	}
 	return false
 }
 
 func identOf(e ast.Expr) *ast.Ident {
-	id, _ := unparen(e).(*ast.Ident)
+	id, _ := ast.Unparen(e).(*ast.Ident)
 	return id
 }
 
@@ -722,7 +715,7 @@ func stmtPairEvents(pass *Pass, stmt ast.Node, resources []*pairResource) []pair
 // method on the textually same receiver; for result mode a release call
 // that references the bound variable as receiver, callee, or first argument.
 func releasesResource(pass *Pass, call *ast.CallExpr, r *pairResource) bool {
-	fun := unparen(call.Fun)
+	fun := ast.Unparen(call.Fun)
 	switch r.spec.mode {
 	case pairRecv:
 		sel, ok := fun.(*ast.SelectorExpr)
@@ -771,7 +764,7 @@ func isMethodValue(sel *ast.SelectorExpr, parents []ast.Node) bool {
 		case *ast.ParenExpr:
 			continue
 		case *ast.CallExpr:
-			return unparen(p.Fun) != ast.Expr(sel)
+			return ast.Unparen(p.Fun) != ast.Expr(sel)
 		default:
 			return true
 		}
@@ -799,7 +792,7 @@ func escapingUse(pass *Pass, id *ast.Ident, parents []ast.Node, r *pairResource,
 		// handoff selectors are recognized separately).
 		return false
 	case *ast.CallExpr:
-		if unparen(p.Fun) == ast.Expr(id) {
+		if ast.Unparen(p.Fun) == ast.Expr(id) {
 			// Calling the value: the admission-style release, or at worst a
 			// use that consumes it.
 			return !r.spec.releaseByCall
@@ -809,7 +802,7 @@ func escapingUse(pass *Pass, id *ast.Ident, parents []ast.Node, r *pairResource,
 		return !releasesResource(pass, p, r)
 	case *ast.AssignStmt:
 		for _, l := range p.Lhs {
-			if unparen(l) == ast.Expr(id) {
+			if ast.Unparen(l) == ast.Expr(id) {
 				return true // reassignment: old binding is gone
 			}
 		}
@@ -827,7 +820,7 @@ func escapingUse(pass *Pass, id *ast.Ident, parents []ast.Node, r *pairResource,
 // refinePairEdge kills resources proven dead by a branch condition:
 // err != nil (acquire failed) or resource == nil.
 func refinePairEdge(pass *Pass, cond ast.Expr, trueEdge bool, resources []*pairResource, state factSet) {
-	cond = unparen(cond)
+	cond = ast.Unparen(cond)
 	switch c := cond.(type) {
 	case *ast.BinaryExpr:
 		var obj types.Object
@@ -862,7 +855,7 @@ func refinePairEdge(pass *Pass, cond ast.Expr, trueEdge bool, resources []*pairR
 		if !trueEdge {
 			return
 		}
-		sel, ok := unparen(c.Fun).(*ast.SelectorExpr)
+		sel, ok := ast.Unparen(c.Fun).(*ast.SelectorExpr)
 		if !ok || sel.Sel.Name != "Is" || len(c.Args) < 1 {
 			return
 		}
@@ -882,7 +875,7 @@ func refinePairEdge(pass *Pass, cond ast.Expr, trueEdge bool, resources []*pairR
 }
 
 func isNilIdent(pass *Pass, e ast.Expr) bool {
-	id, ok := unparen(e).(*ast.Ident)
+	id, ok := ast.Unparen(e).(*ast.Ident)
 	if !ok || id.Name != "nil" {
 		return false
 	}
@@ -893,7 +886,7 @@ func isNilIdent(pass *Pass, e ast.Expr) bool {
 // isTerminalCall reports whether a call never returns: builtin panic,
 // os.Exit, runtime.Goexit, or log.Fatal*/log.Panic*.
 func isTerminalCall(pass *Pass, call *ast.CallExpr) bool {
-	switch fun := unparen(call.Fun).(type) {
+	switch fun := ast.Unparen(call.Fun).(type) {
 	case *ast.Ident:
 		if fun.Name == "panic" {
 			_, isBuiltin := pass.TypesInfo.Uses[fun].(*types.Builtin)

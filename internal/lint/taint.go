@@ -72,7 +72,7 @@ func (ts *taintSet) solve(body *ast.BlockStmt) {
 }
 
 func (ts *taintSet) taintLHS(e ast.Expr) bool {
-	if id, ok := unparen(e).(*ast.Ident); ok {
+	if id, ok := ast.Unparen(e).(*ast.Ident); ok {
 		return ts.taintIdent(id)
 	}
 	return false
@@ -96,7 +96,7 @@ func (ts *taintSet) taintIdent(id *ast.Ident) bool {
 // tainted reports whether e may evaluate to a tainted value: a seed
 // expression, a tainted identifier, or a parenthesization of either.
 func (ts *taintSet) tainted(e ast.Expr) bool {
-	e = unparen(e)
+	e = ast.Unparen(e)
 	if ts.seedExpr != nil && ts.seedExpr(e) {
 		return true
 	}

@@ -1,6 +1,5 @@
-// Fixture for pairdiscipline's recv-mode lock pairing: unlike the legacy
-// lockdiscipline heuristic, release must happen on every path, not merely
-// somewhere in the function.
+// Fixture for pairdiscipline's recv-mode lock pairing: release must happen
+// on every path, not merely somewhere in the function.
 package pairdiscipline
 
 import "sync"
@@ -87,4 +86,52 @@ func leakReadInSwitch(r *rw, mode int) int {
 func okHandoffMethodValue(r *rw) func() {
 	r.mu.RLock() // ok: RUnlock handed off to the caller as a method value
 	return r.mu.RUnlock
+}
+
+func mismatchedRead(r *rw) int {
+	r.mu.RLock() // want `r\.mu\.RLock\(\) without a matching r\.mu\.RUnlock\(\)`
+	defer r.mu.Unlock()
+	return r.v
+}
+
+// The shard-array shape of internal/mining/ercache.go: locks reached
+// through an indexed receiver pair by their full selector path.
+type shard struct {
+	mu sync.Mutex
+	m  map[int]int
+}
+
+type cache struct {
+	shards [4]shard
+}
+
+func leakIndexed(c *cache) {
+	c.shards[0].mu.Lock() // want `c\.shards\[0\]\.mu\.Lock\(\) without a matching c\.shards\[0\]\.mu\.Unlock\(\)`
+	_ = c.shards[0].m
+}
+
+func okIndexedBothBranches(c *cache, cond bool) {
+	c.shards[1].mu.Lock()
+	if cond {
+		c.shards[1].mu.Unlock()
+		return
+	}
+	c.shards[1].mu.Unlock()
+}
+
+func okLockInsideClosure(c *cache) func() int {
+	return func() int { // ok: the pair lives in the same closure
+		c.shards[2].mu.Lock()
+		defer c.shards[2].mu.Unlock()
+		return len(c.shards[2].m)
+	}
+}
+
+func allowedHandoff(r *rw) {
+	//lint:allow pairdiscipline handed off: releaseRW is the documented pair
+	r.mu.Lock()
+}
+
+func releaseRW(r *rw) {
+	r.mu.Unlock()
 }

@@ -60,12 +60,6 @@ type Config struct {
 	// discards, prunes) and the matcher's search counters. Nil disables
 	// collection; mining never reads the clock.
 	Obs *obs.Observer
-	// Regions, when non-nil, routes coverage evaluation, covered-edge
-	// collection, and C_P onto the focus-region shard slices (DESIGN.md
-	// §14). The run silently falls back to the global path unless the
-	// regions cover both the anchors and the universe at exactly Radius;
-	// output is byte-identical either way.
-	Regions *Regions
 }
 
 // withDefaults fills zero fields.
@@ -102,38 +96,13 @@ type Candidate struct {
 	Covered []graph.NodeID
 	// CoveredEdges is P_E restricted to embeddings anchored at covered group
 	// nodes — the edges the pattern describes — as a dense-EdgeID bitset
-	// (convert with Graph.EdgeSetOf at the public-API boundary). Candidates
-	// scored on a partition carry the compact edgeIDs form instead and
-	// materialize this bitset lazily; read through HasEdges/EdgeBits.
+	// (convert with Graph.EdgeSetOf at the public-API boundary).
 	CoveredEdges *graph.EdgeBits
-	// edgeIDs is P_E as sorted, deduplicated global EdgeIDs — the
-	// scatter-gather merge's compact form. Small because P_E only spans the
-	// covered nodes' embeddings, where a full bitset would span the graph.
-	edgeIDs []graph.EdgeID
 	// CP is the pattern's edge-coverage loss C_P = |E^r_{P_V} \ P_E|.
 	CP int
 	// Fallback marks the full-literal singleton seeds that guarantee every
 	// anchor stays coverable; they carry maximal C_P by construction.
 	Fallback bool
-}
-
-// HasEdges reports whether the candidate carries a covered-edge payload in
-// either representation (false for skip-score and frequent-mining runs).
-func (c *Candidate) HasEdges() bool { return c.CoveredEdges != nil || c.edgeIDs != nil }
-
-// EdgeBits returns P_E as a bitset sized for a graph with EdgeID bound
-// `bound`, materializing (and caching) it from the compact partitioned form
-// when needed. Not safe for concurrent callers on the same candidate; the
-// selection loops that consume it are single-goroutine.
-func (c *Candidate) EdgeBits(bound int) *graph.EdgeBits {
-	if c.CoveredEdges == nil && c.edgeIDs != nil {
-		b := graph.NewEdgeBits(bound)
-		for _, id := range c.edgeIDs {
-			b.Add(id)
-		}
-		c.CoveredEdges = b
-	}
-	return c.CoveredEdges
 }
 
 // CoversAnyOf reports whether the candidate covers at least one node of set.
@@ -160,11 +129,7 @@ func (c *Candidate) CoversAnyOf(set graph.NodeSet) bool {
 // pattern size), deterministic for a fixed input.
 func SumGen(g *graph.Graph, anchors []graph.NodeID, universe []graph.NodeID, cfg Config, er *ErCache) []*Candidate {
 	cfg = cfg.withDefaults()
-	regions := cfg.Regions
-	if regions != nil && (!regions.Covers(g, anchors, cfg.Radius) || !regions.Covers(g, universe, cfg.Radius)) {
-		regions = nil // fall back: some node escapes the partition's focus set
-	}
-	if regions == nil && (er == nil || er.Radius() != cfg.Radius) {
+	if er == nil || er.Radius() != cfg.Radius {
 		er = NewErCache(g, cfg.Radius)
 	}
 	m := pattern.NewMatcher(g, cfg.EmbedCap)
@@ -174,86 +139,32 @@ func SumGen(g *graph.Graph, anchors []graph.NodeID, universe []graph.NodeID, cfg
 		m:        m,
 		cfg:      cfg,
 		er:       er,
-		regions:  regions,
 		universe: universe,
 		anchors:  anchors,
 		anchSet:  graph.NodeSetOf(anchors),
 		seen:     make(map[string]bool),
-	}
-	if regions != nil {
-		eng.initRegions()
 	}
 	if reg := cfg.Obs.GetReg(); reg != nil {
 		// Allocated only when a collector is installed: the hot loops guard
 		// on e.mm == nil and pay nothing otherwise.
 		eng.mm = &miningMetrics{}
 		reg.Register(eng.mm)
-		if regions != nil {
-			for _, sm := range eng.shardM {
-				reg.Register(sm)
-			}
-		} else {
-			reg.Register(m)
-		}
+		reg.Register(m)
 	}
 	eng.buildTemplates()
 	if cfg.Workers > 1 {
 		// Pre-warm E_v^r for every node score() can touch, so workers read
 		// the cache instead of serializing BFS work behind shard locks.
-		eng.warm()
+		if cfg.ScoreAnchorsOnly {
+			er.Warm(anchors, cfg.Workers)
+		} else {
+			er.Warm(universe, cfg.Workers)
+		}
 		eng.runParallel()
 	} else {
 		eng.run()
 	}
 	return eng.out
-}
-
-// warm precomputes E_v^r for every node score() can touch. On the
-// partitioned path each shard cache warms its local score nodes; shard
-// graphs are smaller, so each BFS is cheaper than the global equivalent.
-func (e *engine) warm() {
-	if e.regions == nil {
-		if e.cfg.ScoreAnchorsOnly {
-			e.er.Warm(e.anchors, e.cfg.Workers)
-		} else {
-			e.er.Warm(e.universe, e.cfg.Workers)
-		}
-		return
-	}
-	for s := range e.shardUniverse {
-		nodes := e.shardUniverse[s]
-		if e.cfg.ScoreAnchorsOnly {
-			nodes = e.shardAnchors[s]
-		}
-		e.regions.Er(s).Warm(nodes, e.cfg.Workers)
-	}
-}
-
-// initRegions distributes anchors and universe onto their owning shards as
-// ascending local IDs and builds one matcher per slice. Shard matchers stay
-// at worker count 0: the scoring pipeline already parallelizes across
-// patterns, and per-shard node sets are too small to split further.
-func (e *engine) initRegions() {
-	n := e.regions.NumShards()
-	e.shardM = make([]*pattern.Matcher, n)
-	e.shardAnchors = make([][]graph.NodeID, n)
-	e.shardUniverse = make([][]graph.NodeID, n)
-	for s := 0; s < n; s++ {
-		e.shardM[s] = pattern.NewMatcher(e.regions.Shard(s).Graph(), e.cfg.EmbedCap)
-	}
-	part := e.regions.Partition()
-	for _, v := range e.anchors {
-		s, lv, _ := part.Owner(v) // Covers validated ownership
-		e.shardAnchors[s] = append(e.shardAnchors[s], lv)
-	}
-	for _, v := range e.universe {
-		s, lv, _ := part.Owner(v)
-		e.shardUniverse[s] = append(e.shardUniverse[s], lv)
-	}
-	for s := 0; s < n; s++ {
-		slices.Sort(e.shardAnchors[s])
-		slices.Sort(e.shardUniverse[s])
-	}
 }
 
 // engine holds the state of one mining run.
@@ -265,14 +176,6 @@ type engine struct {
 	universe []graph.NodeID
 	anchors  []graph.NodeID
 	anchSet  graph.NodeSet
-
-	// Partitioned-path state (nil/empty on the global path): the validated
-	// regions, one matcher per shard slice, and the anchors/universe grouped
-	// by owning shard as ascending local IDs.
-	regions       *Regions
-	shardM        []*pattern.Matcher
-	shardAnchors  [][]graph.NodeID
-	shardUniverse [][]graph.NodeID
 
 	// templates lists, per node label, the (edgeLabel, otherLabel, outgoing)
 	// triples observed in the anchors' r-hop neighborhoods — the only edge
@@ -310,40 +213,23 @@ func (e *engine) buildTemplates() {
 		t    edgeTemplate
 	}
 	seen := make(map[key]bool)
-	collect := func(g *graph.Graph, edges *graph.EdgeBits) {
-		edges.Iterate(func(id graph.EdgeID) {
-			ref := g.EdgeRefOf(id)
-			fromL := g.LabelOf(ref.From)
-			toL := g.LabelOf(ref.To)
-			el := g.EdgeLabelName(ref.Label)
-			k1 := key{from: fromL, t: edgeTemplate{edgeLabel: el, otherLabel: toL, out: true}}
-			if !seen[k1] {
-				seen[k1] = true
-				e.templates[fromL] = append(e.templates[fromL], k1.t)
-			}
-			k2 := key{from: toL, t: edgeTemplate{edgeLabel: el, otherLabel: fromL, out: false}}
-			if !seen[k2] {
-				seen[k2] = true
-				e.templates[toL] = append(e.templates[toL], k2.t)
-			}
-		})
-	}
-	if e.regions != nil {
-		// Shard-local sweeps see exactly the global anchor neighborhoods
-		// (ball slices preserve E_v^r), and the label-triple key space is
-		// shared via the parent's interners, so the deduped template set is
-		// identical — shards merely contribute it in shard order, which the
-		// canonical bucket sort below normalizes away.
-		for s := range e.shardAnchors {
-			if len(e.shardAnchors[s]) == 0 {
-				continue
-			}
-			sg := e.regions.Shard(s).Graph()
-			collect(sg, sg.RHopEdgeBitsOf(e.shardAnchors[s], e.cfg.Radius))
+	edges := e.g.RHopEdgeBitsOf(e.anchors, e.cfg.Radius)
+	edges.Iterate(func(id graph.EdgeID) {
+		ref := e.g.EdgeRefOf(id)
+		fromL := e.g.LabelOf(ref.From)
+		toL := e.g.LabelOf(ref.To)
+		el := e.g.EdgeLabelName(ref.Label)
+		k1 := key{from: fromL, t: edgeTemplate{edgeLabel: el, otherLabel: toL, out: true}}
+		if !seen[k1] {
+			seen[k1] = true
+			e.templates[fromL] = append(e.templates[fromL], k1.t)
 		}
-	} else {
-		collect(e.g, e.g.RHopEdgeBitsOf(e.anchors, e.cfg.Radius))
-	}
+		k2 := key{from: toL, t: edgeTemplate{edgeLabel: el, otherLabel: fromL, out: false}}
+		if !seen[k2] {
+			seen[k2] = true
+			e.templates[toL] = append(e.templates[toL], k2.t)
+		}
+	})
 	// Sort each bucket into the canonical extension order. Bitset iteration
 	// is already ascending-EdgeID (deterministic without this sort); sorting
 	// normalizes the order across graph loads that interleave insertions
@@ -424,7 +310,7 @@ func (e *engine) run() {
 			p = e.queueLit[0]
 			e.queueLit = e.queueLit[1:]
 		}
-		coveredAnchors := e.coverAnchors(p)
+		coveredAnchors := e.m.CoverAmong(p, e.anchors)
 		if len(coveredAnchors) < e.cfg.MinCover {
 			// Anti-monotone: extensions only shrink coverage; prune subtree.
 			if e.mm != nil {
@@ -476,35 +362,9 @@ func (e *engine) fullLiteralPattern(v graph.NodeID) *pattern.Pattern {
 	return pattern.NewNodePattern(e.g.LabelOf(v), lits...)
 }
 
-// coverAmongAnchors evaluates pattern coverage over the anchors for the
-// generation loop's anti-monotone prune and literal counting. Downstream
-// consumers are order-independent, so the partitioned path may return the
-// covered anchors globally sorted instead of in anchor order.
-func (e *engine) coverAnchors(p *pattern.Pattern) []graph.NodeID {
-	if e.regions == nil {
-		return e.m.CoverAmong(p, e.anchors)
-	}
-	var out []graph.NodeID
-	for s := range e.shardAnchors {
-		if len(e.shardAnchors[s]) == 0 {
-			continue
-		}
-		sh := e.regions.Shard(s)
-		for _, lv := range e.shardM[s].CoverAmong(p, e.shardAnchors[s]) {
-			out = append(out, sh.GlobalNode(lv))
-		}
-	}
-	slices.Sort(out)
-	return out
-}
-
 // score builds the emitted candidate: covered universe nodes, covered
-// edges, C_P. Dispatches to the scatter-gather path when regions are
-// active; both paths return value-identical candidates.
+// edges, C_P.
 func (e *engine) score(p *pattern.Pattern, fallback bool) *Candidate {
-	if e.regions != nil {
-		return e.scoreSharded(p, fallback)
-	}
 	covered := e.m.CoverAmong(p, e.universe)
 	slices.Sort(covered)
 	if len(covered) == 0 {
@@ -535,108 +395,6 @@ func (e *engine) score(p *pattern.Pattern, fallback bool) *Candidate {
 	}
 	cp := union.AndNotCount(coveredEdges)
 	return &Candidate{P: p, Covered: covered, CoveredEdges: coveredEdges, CP: cp, Fallback: fallback}
-}
-
-// scoreSharded is score() on the focus-region shards: every per-node
-// quantity (coverage, P_E embeddings, E_v^r) is computed on the owning
-// shard's compacted slice with local IDs, then translated to global IDs and
-// merged. Shard-local answers equal the global ones node-for-node (the
-// slice is an induced distance-preserving superset of ball(v, r), and its
-// adjacency preserves the parent's per-node order, so even EmbedCap-capped
-// enumeration visits the same embeddings) — making the merged candidate
-// value-identical to the unpartitioned one.
-//
-// The merge is sparse on purpose: P_E and the C_P operands live as sorted
-// global EdgeID lists sized by the covered nodes' neighborhoods, not as
-// graph-wide bitsets. At a million nodes that replaces two multi-hundred-KB
-// allocations per pattern with a few KB — the core of the perf win.
-func (e *engine) scoreSharded(p *pattern.Pattern, fallback bool) *Candidate {
-	var covered []graph.NodeID
-	var unionIDs, edgeIDs []graph.EdgeID
-	for s := range e.shardUniverse {
-		locals := e.shardUniverse[s]
-		if len(locals) == 0 {
-			continue
-		}
-		sh := e.regions.Shard(s)
-		m := e.shardM[s]
-		coveredLoc := m.CoverAmong(p, locals)
-		if len(coveredLoc) == 0 {
-			continue
-		}
-		for _, lv := range coveredLoc {
-			covered = append(covered, sh.GlobalNode(lv))
-		}
-		if e.skipScore {
-			continue
-		}
-		scoreLoc := coveredLoc
-		if e.cfg.ScoreAnchorsOnly {
-			scoreLoc = nil
-			for _, lv := range coveredLoc {
-				if e.anchSet.Has(sh.GlobalNode(lv)) {
-					scoreLoc = append(scoreLoc, lv)
-				}
-			}
-		}
-		bound := sh.Graph().EdgeIDBound()
-		union := graph.NewEdgeBits(bound)
-		covBits := graph.NewEdgeBits(bound)
-		for _, lv := range scoreLoc {
-			union.Union(e.regions.Er(s).Get(lv))
-			if es, ok := m.CoveredEdgeBitsAt(p, lv); ok {
-				covBits.Union(es)
-			}
-		}
-		union.Iterate(func(id graph.EdgeID) { unionIDs = append(unionIDs, sh.GlobalEdge(id)) })
-		covBits.Iterate(func(id graph.EdgeID) { edgeIDs = append(edgeIDs, sh.GlobalEdge(id)) })
-	}
-	slices.Sort(covered)
-	if len(covered) == 0 {
-		return nil
-	}
-	if e.skipScore {
-		return &Candidate{P: p, Covered: covered, Fallback: fallback}
-	}
-	unionIDs = sortDedupEdgeIDs(unionIDs)
-	edgeIDs = sortDedupEdgeIDs(edgeIDs)
-	if edgeIDs == nil {
-		// Keep representation parity with the global path, which carries an
-		// empty (never nil) bitset for scored candidates with no P_E edges.
-		edgeIDs = []graph.EdgeID{}
-	}
-	return &Candidate{P: p, Covered: covered, edgeIDs: edgeIDs, CP: countNotIn(unionIDs, edgeIDs), Fallback: fallback}
-}
-
-// sortDedupEdgeIDs sorts ids ascending and removes duplicates in place
-// (overlapping shard balls report boundary edges more than once).
-func sortDedupEdgeIDs(ids []graph.EdgeID) []graph.EdgeID {
-	if len(ids) == 0 {
-		return ids
-	}
-	slices.Sort(ids)
-	out := ids[:1]
-	for _, id := range ids[1:] {
-		if id != out[len(out)-1] {
-			out = append(out, id)
-		}
-	}
-	return out
-}
-
-// countNotIn reports |a \ b| for two ascending EdgeID lists — the merged
-// C_P = |E^r_{P_V} \ P_E| without materializing either set as a bitset.
-func countNotIn(a, b []graph.EdgeID) int {
-	n, j := 0, 0
-	for _, id := range a {
-		for j < len(b) && b[j] < id {
-			j++
-		}
-		if j >= len(b) || b[j] != id {
-			n++
-		}
-	}
-	return n
 }
 
 // extend generates edge and literal extensions of p. Edge extensions are

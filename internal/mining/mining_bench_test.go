@@ -58,26 +58,6 @@ func BenchmarkSumGenParallel(b *testing.B) {
 	}
 }
 
-// BenchmarkSumGenPartitioned runs the BenchmarkSumGen workload through
-// focus-region shards. The partition is built once outside the loop — the
-// serving pattern, where one epoch's regions are shared by every request —
-// so the delta against BenchmarkSumGen isolates shard-local mining plus the
-// scatter-gather merge. Output is byte-identical at every shard count.
-func BenchmarkSumGenPartitioned(b *testing.B) {
-	g, anchors := benchNetwork(b, 2000)
-	focus := g.NodesWithLabel("user")
-	for _, shards := range []int{2, 4, 8} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			cfg := Config{Radius: 2, MaxNodes: 4, MaxLiterals: 2, MaxPatterns: 100}
-			cfg.Regions = BuildRegions(g, focus, RegionConfig{Shards: shards, R: 2, Seed: 42})
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				SumGen(g, anchors, anchors, cfg, nil)
-			}
-		})
-	}
-}
-
 // BenchmarkErCacheWarm measures parallel pre-warming of E_v^r across worker
 // counts (workers=1 is a plain sequential fill).
 func BenchmarkErCacheWarm(b *testing.B) {

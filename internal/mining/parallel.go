@@ -163,7 +163,7 @@ func (e *engine) runParallel() {
 		// Anti-monotone pruning stays eager on the producer: CoverAmong over
 		// the anchors is cheap (and itself parallelized by the matcher for
 		// large anchor sets), and extensions need coveredAnchors anyway.
-		coveredAnchors := e.coverAnchors(p)
+		coveredAnchors := e.m.CoverAmong(p, e.anchors)
 		if len(coveredAnchors) < e.cfg.MinCover {
 			if e.mm != nil {
 				e.mm.pruned.Inc()

@@ -37,16 +37,16 @@ const HistNumBuckets = 16
 
 // Histogram is an allocation-free histogram over int64 observations with
 // fixed power-of-two bucket bounds 1, 2, 4, ..., 2^15, +Inf. The zero value
-// is ready to use and safe for concurrent Observe.
+// is ready to use and safe for concurrent Observe. It keeps no separate
+// count: a snapshot taken during concurrent Observe calls derives Count from
+// the buckets it read, so the +Inf bucket always equals Count.
 type Histogram struct {
-	count   atomic.Int64
 	sum     atomic.Int64
 	buckets [HistNumBuckets + 1]atomic.Int64
 }
 
 // Observe records one value.
 func (h *Histogram) Observe(v int64) {
-	h.count.Add(1)
 	h.sum.Add(v)
 	h.buckets[HistBucketOf(v)].Add(1)
 }
@@ -67,7 +67,6 @@ func HistBucketOf(v int64) int {
 // Snapshot returns the histogram's current cumulative state.
 func (h *Histogram) Snapshot() HistValue {
 	var out HistValue
-	out.Count = h.count.Load()
 	out.Sum = h.sum.Load()
 	out.Buckets = make([]int64, HistNumBuckets+1)
 	cum := int64(0)
@@ -75,6 +74,7 @@ func (h *Histogram) Snapshot() HistValue {
 		cum += h.buckets[i].Load()
 		out.Buckets[i] = cum
 	}
+	out.Count = cum
 	return out
 }
 

@@ -3,7 +3,7 @@ package obs
 // Request-scoped tracing (DESIGN.md §13): every request through a serving
 // layer gets a W3C-compatible trace ID (propagated from an incoming
 // `traceparent` header or generated), a fixed set of pipeline stage timings
-// (admission-wait, cache-lookup, view-pin, partition, compute, encode), and an
+// (admission-wait, cache-lookup, view-pin, compute, encode), and an
 // annotation record (endpoint, epoch, cache hit). The per-request state is a
 // single *ReqTrace carried in the request context; when the request
 // completes the trace feeds three sinks:
@@ -43,10 +43,6 @@ const (
 	// StagePin is acquiring the read context: pinning the MVCC view or
 	// taking the engine read lock.
 	StagePin
-	// StagePartition is resolving the focus-region partition for the pinned
-	// view: an atomic load when the epoch's regions are already built, the
-	// singleflight build when this request is the one constructing them.
-	StagePartition
 	// StageCompute is the algorithm run (select/mine/summarize or the
 	// maintainer's write path).
 	StageCompute
@@ -56,7 +52,7 @@ const (
 	NumStages
 )
 
-var stageNames = [NumStages]string{"cache", "admission", "pin", "partition", "compute", "encode"}
+var stageNames = [NumStages]string{"cache", "admission", "pin", "compute", "encode"}
 
 // String returns the stage's label ("cache", "admission", ...).
 func (st Stage) String() string {

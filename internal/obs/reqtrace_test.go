@@ -30,11 +30,11 @@ func TestParseTraceparentRejectsInvalid(t *testing.T) {
 	bad := []string{
 		"",
 		"garbage",
-		valid[:54],                   // truncated
-		valid + "-extra",             // version 00 must be exactly 55 chars
-		"ff" + valid[2:],             // version ff is forbidden
-		"0x" + valid[2:],             // non-hex version
-		"00-" + strings.Repeat("0", 32) + "-00f067aa0ba902b7-01", // zero trace ID
+		valid[:54],       // truncated
+		valid + "-extra", // version 00 must be exactly 55 chars
+		"ff" + valid[2:], // version ff is forbidden
+		"0x" + valid[2:], // non-hex version
+		"00-" + strings.Repeat("0", 32) + "-00f067aa0ba902b7-01",                 // zero trace ID
 		"00-4bf92f3577b34da6a3ce929d0e0e4736-" + strings.Repeat("0", 16) + "-01", // zero parent
 		"00-4bf92f3577b34da6a3ce929d0e0e473X-00f067aa0ba902b7-01",                // non-hex trace ID
 		strings.Replace(valid, "-", "_", 1),                                      // wrong separator

@@ -7,12 +7,13 @@ import (
 	"github.com/cwru-db/fgs/internal/graph"
 )
 
-// bruteMatchAt is a reference implementation of anchored subgraph
+// bruteEmbeddings is a reference implementation of anchored subgraph
 // isomorphism: enumerate every injective assignment of pattern nodes to
-// graph nodes with the focus pinned, and check all constraints. Exponential,
-// only usable on tiny inputs — which is exactly what makes it a trustworthy
-// oracle for the optimized matcher.
-func bruteMatchAt(g *graph.Graph, p *Pattern, anchor graph.NodeID) bool {
+// graph nodes with the focus pinned, check all constraints, and hand each
+// embedding (pattern node -> graph node) to visit until it returns false.
+// Exponential, only usable on tiny inputs — which is exactly what makes it
+// a trustworthy oracle for the optimized matcher.
+func bruteEmbeddings(g *graph.Graph, p *Pattern, anchor graph.NodeID, visit func(assign []graph.NodeID) bool) {
 	n := len(p.Nodes)
 	assign := make([]graph.NodeID, n)
 	used := make(map[graph.NodeID]bool)
@@ -42,7 +43,7 @@ func bruteMatchAt(g *graph.Graph, p *Pattern, anchor graph.NodeID) bool {
 	var rec func(u int) bool
 	rec = func(u int) bool {
 		if u == n {
-			return edgesOK()
+			return !edgesOK() || visit(assign)
 		}
 		if u == p.Focus {
 			return rec(u + 1)
@@ -53,21 +54,31 @@ func bruteMatchAt(g *graph.Graph, p *Pattern, anchor graph.NodeID) bool {
 			}
 			assign[u] = v
 			used[v] = true
-			if rec(u + 1) {
-				delete(used, v)
-				return true
-			}
+			cont := rec(u + 1)
 			delete(used, v)
+			if !cont {
+				return false
+			}
 		}
-		return false
+		return true
 	}
 
 	if !nodeOK(p.Focus, anchor) {
-		return false
+		return
 	}
 	assign[p.Focus] = anchor
 	used[anchor] = true
-	return rec(0)
+	rec(0)
+}
+
+// bruteMatchAt reports whether the oracle finds any embedding at anchor.
+func bruteMatchAt(g *graph.Graph, p *Pattern, anchor graph.NodeID) bool {
+	found := false
+	bruteEmbeddings(g, p, anchor, func([]graph.NodeID) bool {
+		found = true
+		return false
+	})
+	return found
 }
 
 // randomPattern grows a small random connected pattern.
@@ -131,6 +142,100 @@ func TestMatchAtAgainstBruteForce(t *testing.T) {
 			if got != want {
 				t.Fatalf("trial %d: MatchAt(%s, %d) = %v, oracle says %v", trial, p, v, got, want)
 			}
+		}
+	}
+}
+
+// TestBackEdgeIntoHubAgainstBruteForce closes a triangle through a hub
+// whose adjacency lists exceed the matcher's 32-entry scan limit, so the
+// back edge is verified by Graph.EdgeIDBetween in both orientations: h -> y
+// probes the hub's long out-list, y -> h its long in-list. Coverage and the
+// recorded P_E edge IDs must equal the brute-force oracle's at every
+// anchor.
+func TestBackEdgeIntoHubAgainstBruteForce(t *testing.T) {
+	g := graph.New()
+	hub := g.AddNode("h", nil)
+	var xs, ys []graph.NodeID
+	for i := 0; i < 7; i++ {
+		xs = append(xs, g.AddNode("x", nil))
+	}
+	for j := 0; j < 40; j++ {
+		ys = append(ys, g.AddNode("y", nil))
+	}
+	add := func(from, to graph.NodeID, label string) {
+		if err := g.AddEdge(from, to, label); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, x := range xs[:6] {
+		add(x, hub, "e")
+		for j := i; j < len(ys); j += 6 {
+			add(x, ys[j], "e")
+		}
+	}
+	// The last anchor's y-neighbours all miss the hub's "e" edge (j%4 == 0),
+	// so its back-edge probes fail on the label.
+	add(xs[6], hub, "e")
+	for _, j := range []int{0, 4, 8} {
+		add(xs[6], ys[j], "e")
+	}
+	for j, y := range ys {
+		add(hub, y, "f")
+		if j%4 != 0 {
+			add(hub, y, "e")
+		}
+		if j%3 != 0 {
+			add(y, hub, "f")
+		}
+		if j%5 == 0 {
+			add(y, hub, "e")
+		}
+	}
+	if len(g.Out(hub)) <= 32 || len(g.In(hub)) <= 32 {
+		t.Fatalf("hub lists out=%d in=%d, want both > 32", len(g.Out(hub)), len(g.In(hub)))
+	}
+
+	base := NewNodePattern("x").
+		AddLeaf(0, Node{Label: "h"}, "e", true).
+		AddLeaf(0, Node{Label: "y"}, "e", true)
+	patterns := []*Pattern{
+		base.AddClosingEdge(1, 2, "e"), // h -> y: the hub's out-list
+		base.AddClosingEdge(2, 1, "f"), // y -> h: the hub's in-list
+	}
+	m := NewMatcher(g, 0)
+	for _, p := range patterns {
+		matched := 0
+		for v := graph.NodeID(0); int(v) < g.NumNodes(); v++ {
+			want := map[graph.EdgeID]bool{}
+			bruteEmbeddings(g, p, v, func(assign []graph.NodeID) bool {
+				for _, e := range p.Edges {
+					lid, _ := g.EdgeLabelID(e.Label)
+					id, _ := g.EdgeIDOf(graph.EdgeRef{From: assign[e.From], To: assign[e.To], Label: lid})
+					want[id] = true
+				}
+				return true
+			})
+			edges, ok := m.CoveredEdgeBitsAt(p, v)
+			if ok != (len(want) > 0) || ok != m.MatchAt(p, v) {
+				t.Fatalf("%s at %d: matcher says %v, oracle found %d edges", p, v, ok, len(want))
+			}
+			if !ok {
+				continue
+			}
+			matched++
+			got := 0
+			edges.Iterate(func(id graph.EdgeID) {
+				got++
+				if !want[id] {
+					t.Errorf("%s at %d: covered edge %v is in no oracle embedding", p, v, g.EdgeRefOf(id))
+				}
+			})
+			if got != len(want) {
+				t.Errorf("%s at %d: %d covered edges, oracle has %d", p, v, got, len(want))
+			}
+		}
+		if matched == 0 || matched == len(xs) {
+			t.Errorf("%s: %d of %d anchors match, want a mix", p, matched, len(xs))
 		}
 	}
 }

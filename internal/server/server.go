@@ -86,14 +86,6 @@ type Config struct {
 	// serves them under the engine RWMutex against the live graph (the
 	// pre-MVCC baseline, kept for benchmarking and cross-mode tests).
 	ReadMode string
-	// Shards enables focus-region partitioned summarization (DESIGN.md
-	// §14): values ≥ 2 split the focus universe into that many BFS-grown
-	// regions per epoch view and run mining shard-locally with a
-	// deterministic merge — responses stay byte-identical to the
-	// unpartitioned path. 0 or 1 disables partitioning. Only effective in
-	// mvcc read mode; locked mode always serves unpartitioned (the live
-	// graph mutates under readers, so per-epoch slices cannot be cached).
-	Shards int
 	// MaxViews caps the MVCC replica pool — the current view plus views
 	// still pinned by readers plus free replicas. Each replica is a full
 	// graph copy, so this bounds the engine's graph memory to MaxViews×|G|;
@@ -178,9 +170,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.FlightEvents < 0 {
 		c.FlightEvents = 0
-	}
-	if c.Shards < 0 {
-		c.Shards = 0
 	}
 	if c.MaxViews <= 0 {
 		c.MaxViews = 3
@@ -360,15 +349,6 @@ func New(g *graph.Graph, groups *submod.Groups, cfg Config) (*Server, error) {
 	if cfg.ReadMode == ReadModeMVCC {
 		s.views = newViewSet(g, s.summary, cfg.MaxViews, s.clock, s.epoch.Load())
 		reg.Register(s.views)
-		if cfg.Shards > 1 {
-			// Build the boot view's partition before serving traffic, so the
-			// very first summarize already runs sharded. Boot is the one place
-			// synchronous construction is free — it sits next to the replica
-			// clones and the initial Inc-FGS run.
-			v := s.views.pin()
-			s.buildPartitionFor(v)
-			s.views.unpin(v)
-		}
 	}
 	reg.Register(s) // epoch gauge, authoritative in both read modes
 	s.routes()
@@ -441,7 +421,6 @@ type readCtx struct {
 	epoch   uint64
 	g       *graph.Graph
 	summary *core.Summary
-	view    *epochView // the pinned view in mvcc mode; nil in locked mode
 	release func()
 }
 
@@ -459,7 +438,6 @@ func (s *Server) acquireRead(rt *obs.ReqTrace) readCtx {
 			epoch:   v.epoch,
 			g:       v.g,
 			summary: v.summary,
-			view:    v,
 			release: func() { s.views.unpin(v) },
 		}
 	}
@@ -482,10 +460,6 @@ func (s *Server) computeSummarize(rt *obs.ReqTrace, req *SummarizeRequest, k boo
 		return nil, 0, &requestError{err}
 	}
 	cfg := s.coreConfig(req.R, req.K, req.N)
-	// Partition resolution is nil-tolerant end to end: a nil return (shards
-	// off, locked mode, radius mismatch, build in flight) simply runs the
-	// unpartitioned path, and core re-validates coverage before trusting it.
-	cfg.Mining.Regions = s.regionsFor(rt, rc.view, req.R)
 	var sum *core.Summary
 	if k {
 		sum, err = core.KAPXFGS(rc.g, s.groups, util, cfg)
@@ -562,17 +536,7 @@ func (s *Server) computeUpdate(rt *obs.ReqTrace, req *UpdateRequest) (*UpdateRes
 	if applied > 0 {
 		epoch := s.epoch.Add(1)
 		if s.views != nil {
-			v := s.views.publish(delta, epoch, sum)
-			// Kick the new epoch's partition build off the write path so the
-			// first summarize at this epoch usually finds it ready. The pin
-			// keeps the replica alive for the builder; pinIf refuses if a
-			// publish burst already retired and recycled the view.
-			if s.cfg.Shards > 1 && s.views.pinIf(v) {
-				go func() {
-					defer s.views.unpin(v)
-					s.buildPartitionFor(v)
-				}()
-			}
+			s.views.publish(delta, epoch, sum)
 		}
 		if s.store != nil {
 			// Log the batch exactly as requested — replay re-applies it

@@ -86,10 +86,6 @@ type epochView struct {
 	summary *core.Summary
 	refs    int
 	done    bool // retired: no longer the current view
-
-	// part caches this epoch's focus-region partition (partition.go); it
-	// shares the view's lifetime, so readers pin (view, partition) together.
-	part partitionSlot
 }
 
 // replica is a pooled graph clone positioned at a known epoch.
@@ -132,21 +128,6 @@ func (vs *viewSet) pin() *epochView {
 	return v
 }
 
-// pinIf pins v only if it is still alive — current, or retired with readers
-// holding it. It refuses (returning false) once the view has been fully
-// released and its replica recycled, so callers arriving late (the async
-// partition builder racing a burst of publishes) never resurrect a dead
-// view.
-func (vs *viewSet) pinIf(v *epochView) bool {
-	vs.mu.Lock()
-	defer vs.mu.Unlock()
-	if v.done && v.refs == 0 {
-		return false
-	}
-	v.refs++
-	return true
-}
-
 // unpin releases a reference. When the last reader of a retired view
 // releases, its replica rejoins the free pool and a waiting writer is woken.
 func (vs *viewSet) unpin(v *epochView) {
@@ -171,19 +152,13 @@ func (vs *viewSet) recycleLocked(v *epochView) {
 	vs.free = append(vs.free, replica{g: v.g, epoch: v.epoch})
 	v.g = nil
 	v.summary = nil
-	// Drop the epoch's partition with its view: the compacted shard slices
-	// alias the replica's interners and are sized like a focus neighborhood,
-	// so releasing them eagerly matters at large graph scale.
-	v.part.built.Store(nil)
 }
 
 // publish installs the view for epoch after the writer applied delta to the
 // live graph. Called only from the write path, under the server's write
 // lock, with epoch == previous epoch + 1 and delta the batch exactly as the
-// maintainer applied it. It returns the freshly published view so the
-// caller can hand it to the async partition builder (via pinIf — the
-// returned pointer alone carries no reference).
-func (vs *viewSet) publish(delta core.Delta, epoch uint64, summary *core.Summary) *epochView {
+// maintainer applied it.
+func (vs *viewSet) publish(delta core.Delta, epoch uint64, summary *core.Summary) {
 	start := vs.clock.Now()
 	vs.log = append(vs.log, delta)
 
@@ -234,7 +209,6 @@ func (vs *viewSet) publish(delta core.Delta, epoch uint64, summary *core.Summary
 	vs.logBaseA.Store(vs.logBase)
 	vs.publishes.Inc()
 	vs.publishUs.Observe(vs.clock.Now().Sub(start).Microseconds())
-	return v
 }
 
 // catchUp replays the logged batches (rep.epoch, target] onto the replica,

@@ -12,7 +12,7 @@ test:
 
 # The concurrent packages again under the race detector (mirrors CI).
 race:
-	$(GO) test -race ./internal/mining/ ./internal/pattern/ ./internal/core/ ./internal/graph/ ./internal/obs/ ./internal/server/ ./internal/store/
+	$(GO) test -race ./internal/mining/ ./internal/pattern/ ./internal/core/ ./internal/graph/ ./internal/obs/ ./internal/server/ ./internal/store/ ./cmd/fgsbench/
 
 # Run the summarization daemon on the demo LKI graph (see README "Serving").
 # Override flags via ARGS: make serve ARGS='-addr :9000 -workers 4'
@@ -70,15 +70,14 @@ bench-compare:
 
 # bench-scale is the serving scale tier (DESIGN.md §11): generate a
 # multi-million-node LKI graph, persist it through the binary codec, and
-# measure the MVCC read path against the locked baseline under saturating
-# bulk ingest (back-to-back SCALE_BATCH-edge update batches) — load time,
-# read throughput/tails, update latency, snapshot-publish cost, peak heap
-# vs the memory ceiling. Results land in scale-results.json. Override via
-# SCALE_NODES / SCALE_DURATION / SCALE_BATCH / SCALE_MEM_MB.
+# drive the MVCC read path in-process under saturating bulk ingest
+# (back-to-back SCALE_BATCH-edge update batches) — load time, per-endpoint
+# throughput/tails and stage breakdown, update latency, snapshot-publish
+# cost, peak heap vs the memory ceiling. Results land in scale-results.json.
+# Override via SCALE_NODES / SCALE_DURATION / SCALE_BATCH / SCALE_MEM_MB.
 SCALE_NODES ?= 1000000
 SCALE_DURATION ?= 20s
 SCALE_BATCH ?= 4096
-SCALE_ROUNDS ?= 3
 SCALE_MEM_MB ?= 8192
 
 bench-scale:
@@ -86,16 +85,14 @@ bench-scale:
 		-o "lki-$(SCALE_NODES).fgsb"
 	$(GO) run ./cmd/fgsbench -scale-bench \
 		-scale-graph "lki-$(SCALE_NODES).fgsb" -scale-duration $(SCALE_DURATION) \
-		-scale-write-interval 0 -scale-write-batch $(SCALE_BATCH) \
-		-scale-max-views 3 -scale-rounds $(SCALE_ROUNDS) \
+		-scale-write-batch $(SCALE_BATCH) \
 		-scale-mem-ceiling-mb $(SCALE_MEM_MB) -scale-out scale-results.json
 
-# bench-scale-smoke is the CI-sized variant: small graph, short windows,
+# bench-scale-smoke is the CI-sized variant: small graph, short window,
 # tight memory ceiling — it exists to fail loudly if the MVCC read path or
 # the sized generators regress, not to produce publishable numbers.
 bench-scale-smoke:
 	$(GO) run ./cmd/fgsbench -scale-bench \
 		-scale-nodes 150000 -scale-duration 5s \
-		-scale-readers 4 -scale-writers 1 \
-		-scale-write-interval 0 -scale-write-batch 256 -scale-max-views 3 \
+		-scale-readers 4 -scale-writers 1 -scale-write-batch 256 \
 		-scale-mem-ceiling-mb 2048 -scale-out scale-smoke.json

@@ -8,7 +8,7 @@
 //	fgsbench -load http://localhost:8471 -load-requests 1024 -load-concurrency 16
 //	                                   # drive mixed traffic at a running fgsd
 //	fgsbench -scale-bench -scale-nodes 1000000 -scale-duration 20s
-//	                                   # in-process MVCC-vs-locked scale tier
+//	                                   # the same driver in-process, under bulk ingest
 //
 // Experiments: fig8a fig8b fig8c fig8d fig8e fig8f fig9a fig9b fig9c fig9d
 // fig10a fig10b case-talent case-pandemic. See DESIGN.md for the mapping
@@ -36,7 +36,7 @@ func main() {
 	var (
 		exps    = flag.String("exp", "all", "comma-separated experiment ids, or 'all'")
 		scale   = flag.Int("scale", 1, "dataset scale (1 = test-sized)")
-		seed    = flag.Int64("seed", 42, "generator seed")
+		seed    = flag.Int64("seed", 42, "generator seed; also seeds the -load and -scale-bench request mixes")
 		format  = flag.String("format", "table", "output format: table or csv")
 		workers = flag.Int("workers", 0, "mining/scoring worker goroutines (0 = sequential, the paper-comparable default; metric values are identical at any setting)")
 
@@ -45,25 +45,18 @@ func main() {
 		metricsAddr = flag.String("fgs.metrics-addr", "", "serve /metrics (Prometheus) and /debug/pprof on this address while the run lasts")
 		obsSummary  = flag.Bool("fgs.obs-summary", false, "print the runtime-counter summary table to stderr")
 
-		loadURL  = flag.String("load", "", "run as a load driver against an fgsd base URL (e.g. http://localhost:8471) instead of the experiment suite")
+		loadURL  = flag.String("load", "", "run as a load driver against an fgsd base URL (e.g. http://localhost:8471) instead of the experiment suite; -seed seeds the request mix")
 		loadReqs = flag.Int("load-requests", 256, "load mode: total requests to send")
 		loadConc = flag.Int("load-concurrency", 8, "load mode: concurrent client goroutines")
-		loadSeed = flag.Int64("load-seed", 1, "load mode: request-mix seed")
 
-		scaleBench      = flag.Bool("scale-bench", false, "run the scale tier: in-process locked-vs-mvcc mixed workload over a large graph")
-		scaleGraph      = flag.String("scale-graph", "", "scale mode: graph file to load (text or binary, sniffed; empty = generate)")
-		scaleDataset    = flag.String("scale-dataset", "lki", "scale mode: sized generator when no -scale-graph (lki or dbp)")
+		scaleBench      = flag.Bool("scale-bench", false, "run the scale tier: the load driver in-process over a large graph, beside back-to-back bulk update batches")
+		scaleGraph      = flag.String("scale-graph", "", "scale mode: graph file to load (text or binary, sniffed; empty = generate a sized LKI graph)")
 		scaleNodes      = flag.Int("scale-nodes", 1_000_000, "scale mode: generated graph node count")
 		scaleGroups     = flag.String("scale-groups", "user:city:c0,c1:1:4", "scale mode: group spec label:attr:val1,val2:lower:upper")
-		scaleDuration   = flag.Duration("scale-duration", 20*time.Second, "scale mode: measured duration per read mode")
+		scaleDuration   = flag.Duration("scale-duration", 20*time.Second, "scale mode: measured duration")
 		scaleReaders    = flag.Int("scale-readers", 8, "scale mode: concurrent reader goroutines")
 		scaleWriters    = flag.Int("scale-writers", 2, "scale mode: concurrent writer goroutines")
-		scaleWriteEvery = flag.Duration("scale-write-interval", 100*time.Millisecond, "scale mode: pause between a writer's update batches (0 = back-to-back bulk ingest)")
-		scaleWriteBatch = flag.Int("scale-write-batch", 256, "scale mode: edges per update batch (bulk batches hold the locked-mode write lock for the whole apply)")
-		scaleMaxViews   = flag.Int("scale-max-views", 0, "scale mode: MVCC replica pool cap (0 = server default)")
-		scaleCache      = flag.Int("scale-cache-entries", 0, "scale mode: result-cache capacity (0 = server default, -1 = disabled for a pure-compute comparison)")
-		scaleDistinct   = flag.Int("scale-distinct-views", 64, "scale mode: distinct attribute-literal view patterns in the read mix (all invalidated on every epoch bump)")
-		scaleRounds     = flag.Int("scale-rounds", 1, "scale mode: interleaved locked/mvcc round pairs; the median round per mode is reported (medians filter scheduler/GC noise on shared hosts)")
+		scaleWriteBatch = flag.Int("scale-write-batch", 256, "scale mode: edges per update batch")
 		scaleMemCeiling = flag.Int("scale-mem-ceiling-mb", 0, "scale mode: fail if peak heap exceeds this many MB (0 = no ceiling)")
 		scaleOut        = flag.String("scale-out", "", "scale mode: also write the JSON result to this file")
 	)
@@ -84,39 +77,29 @@ func main() {
 		stopMetrics = serveMetrics(*metricsAddr, observer)
 	}
 
-	if *scaleBench {
-		err := runScale(os.Stdout, scaleConfig{
-			GraphPath:     *scaleGraph,
-			Dataset:       *scaleDataset,
-			Nodes:         *scaleNodes,
-			Seed:          *seed,
-			GroupSpec:     *scaleGroups,
-			Duration:      *scaleDuration,
-			Readers:       *scaleReaders,
-			Writers:       *scaleWriters,
-			WriteInterval: *scaleWriteEvery,
-			WriteBatch:    *scaleWriteBatch,
-			MaxViews:      *scaleMaxViews,
-			CacheEntries:  *scaleCache,
-			DistinctViews: *scaleDistinct,
-			Rounds:        *scaleRounds,
-			MemCeilingMB:  *scaleMemCeiling,
-			OutPath:       *scaleOut,
-		})
-		stopMetrics()
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "fgsbench:", err)
-			os.Exit(1)
+	if *scaleBench || *loadURL != "" {
+		var err error
+		if *scaleBench {
+			err = runScale(os.Stdout, scaleConfig{
+				GraphPath:    *scaleGraph,
+				Nodes:        *scaleNodes,
+				Seed:         *seed,
+				GroupSpec:    *scaleGroups,
+				Duration:     *scaleDuration,
+				Readers:      *scaleReaders,
+				Writers:      *scaleWriters,
+				WriteBatch:   *scaleWriteBatch,
+				MemCeilingMB: *scaleMemCeiling,
+				OutPath:      *scaleOut,
+			})
+		} else {
+			err = runLoad(os.Stdout, strings.TrimRight(*loadURL, "/"), driveConfig{
+				Clients:  *loadConc,
+				Requests: *loadReqs,
+				Seed:     *seed,
+				Mix:      loadMix,
+			})
 		}
-		return
-	}
-	if *loadURL != "" {
-		err := runLoad(os.Stdout, loadConfig{
-			BaseURL:     strings.TrimRight(*loadURL, "/"),
-			Requests:    *loadReqs,
-			Concurrency: *loadConc,
-			Seed:        *loadSeed,
-		})
 		stopMetrics()
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "fgsbench:", err)

@@ -42,8 +42,6 @@ import (
 	"os"
 	"os/signal"
 	"runtime"
-	"strconv"
-	"strings"
 	"syscall"
 	"time"
 
@@ -65,7 +63,6 @@ func main() {
 		cacheEnt  = flag.Int("cache-entries", 256, "epoch-keyed result cache capacity (negative = disabled)")
 		deadline  = flag.Duration("deadline", 30*time.Second, "per-request deadline (queue wait included)")
 		embedCap  = flag.Int("embed-cap", 0, "embedding enumeration cap for view/workload queries (0 = default)")
-		readMode  = flag.String("read-mode", "mvcc", "read path: mvcc (epoch-snapshot views) or locked (RWMutex baseline)")
 		maxViews  = flag.Int("max-views", 0, "MVCC replica pool cap; bounds graph memory to max-views copies (0 = default 3, min 2)")
 		drainFor  = flag.Duration("drain-timeout", 30*time.Second, "max time to wait for in-flight requests on shutdown")
 
@@ -174,9 +171,9 @@ func main() {
 		reg.Add("fgsd_boot_graph_edges", "Edges in the boot graph", nil, int64(g.NumEdges()))
 	}
 
-	label, attr, values, lower, upper, err := parseGroupSpec(*groupSpec)
+	label, attr, values, lower, upper, err := datasets.ParseGroupSpec(*groupSpec)
 	if err != nil {
-		fatal(err)
+		fatal(fmt.Errorf("-groups: %w", err))
 	}
 	groups, err := datasets.GroupsByAttr(g, label, attr, values, lower, upper)
 	if err != nil {
@@ -193,7 +190,6 @@ func main() {
 		CacheEntries:   *cacheEnt,
 		Deadline:       *deadline,
 		EmbedCap:       *embedCap,
-		ReadMode:       *readMode,
 		MaxViews:       *maxViews,
 		Obs:            observer,
 		DisableTracing: *noTrace,
@@ -230,7 +226,7 @@ func main() {
 	go func() { errc <- httpSrv.ListenAndServe() }()
 	log.Info("serving",
 		"addr", *addr, "workers", *workers, "cache", *cacheEnt,
-		"deadline", *deadline, "read_mode", *readMode,
+		"deadline", *deadline,
 		"tracing", !*noTrace, "slow_request", *slowReq, "log_format", *logFormat)
 
 	select {
@@ -270,20 +266,6 @@ func main() {
 		}
 	}
 	log.Info("drained")
-}
-
-// parseGroupSpec splits "label:attr:val1,val2:lower:upper".
-func parseGroupSpec(spec string) (label, attr string, values []string, lower, upper int, err error) {
-	parts := strings.Split(spec, ":")
-	if len(parts) != 5 {
-		return "", "", nil, 0, 0, fmt.Errorf("bad -groups %q: want label:attr:val1,val2:lower:upper", spec)
-	}
-	lower, err1 := strconv.Atoi(parts[3])
-	upper, err2 := strconv.Atoi(parts[4])
-	if err1 != nil || err2 != nil {
-		return "", "", nil, 0, 0, fmt.Errorf("bad -groups bounds in %q", spec)
-	}
-	return parts[0], parts[1], strings.Split(parts[2], ","), lower, upper, nil
 }
 
 // exportObs writes whatever the observer collected: the Chrome trace, the

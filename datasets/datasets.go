@@ -7,6 +7,10 @@
 package datasets
 
 import (
+	"fmt"
+	"strconv"
+	"strings"
+
 	fgs "github.com/cwru-db/fgs"
 	"github.com/cwru-db/fgs/internal/gen"
 )
@@ -41,6 +45,22 @@ func DBPSized(seed int64, n int) *fgs.Graph { return gen.DBPSized(seed, n) }
 // given label, each with the coverage constraint [lower, upper].
 func GroupsByAttr(g *fgs.Graph, label, key string, values []string, lower, upper int) (*fgs.Groups, error) {
 	return gen.GroupsByAttr(g, label, key, values, lower, upper)
+}
+
+// ParseGroupSpec splits a group spec "label:attr:val1,val2:lower:upper",
+// the -groups syntax of the commands, into GroupsByAttr's arguments. Both
+// bounds must be decimal integers.
+func ParseGroupSpec(spec string) (label, attr string, values []string, lower, upper int, err error) {
+	parts := strings.Split(spec, ":")
+	if len(parts) != 5 {
+		return "", "", nil, 0, 0, fmt.Errorf("bad group spec %q: want label:attr:val1,val2:lower:upper", spec)
+	}
+	lower, err1 := strconv.Atoi(parts[3])
+	upper, err2 := strconv.Atoi(parts[4])
+	if err1 != nil || err2 != nil {
+		return "", "", nil, 0, 0, fmt.Errorf("bad group spec bounds in %q", spec)
+	}
+	return parts[0], parts[1], strings.Split(parts[2], ","), lower, upper, nil
 }
 
 // GroupsByAttrPairs induces one group per combination of two attributes'

@@ -40,8 +40,7 @@ const (
 	StageCache Stage = iota
 	// StageAdmission is the wait for a worker slot (queue time included).
 	StageAdmission
-	// StagePin is acquiring the read context: pinning the MVCC view or
-	// taking the engine read lock.
+	// StagePin is acquiring the read context: pinning the MVCC view.
 	StagePin
 	// StageCompute is the algorithm run (select/mine/summarize or the
 	// maintainer's write path).

@@ -129,8 +129,8 @@ type AdmissionStats struct {
 	Queue    int   `json:"queue"`
 }
 
-// MvccStats snapshots the MVCC serving state for /v1/stats. In locked mode
-// only Mode is set. Replicas counts graph copies in circulation (current
+// MvccStats snapshots the MVCC serving state for /v1/stats. Replicas
+// counts graph copies in circulation (current
 // view + reader-pinned + free pool); Clones counts full-graph copies taken
 // to grow the pool; WriterWaits counts publications that had to wait for a
 // reader to release a replica. Publish latency is wall-clock and therefore

@@ -23,7 +23,6 @@ const debugCacheMaxEntries = 128
 
 // ViewsDebug is the /debug/fgs/views response: the MVCC publication state —
 // which epochs are alive, who pins them, and how much replay log is retained.
-// In locked mode only Mode and Epoch are meaningful.
 type ViewsDebug struct {
 	Mode        string      `json:"mode"`
 	Epoch       uint64      `json:"epoch"`
@@ -80,10 +79,6 @@ type FairnessGroup struct {
 }
 
 func (s *Server) handleDebugViews(w http.ResponseWriter, r *http.Request) {
-	if s.views == nil {
-		writeJSON(w, http.StatusOK, ViewsDebug{Mode: ReadModeLocked, Epoch: s.epoch.Load()})
-		return
-	}
 	writeJSON(w, http.StatusOK, s.views.debug())
 }
 

@@ -26,30 +26,22 @@ func newHookedServer(t *testing.T, s *Server) *httptest.Server {
 	return ts
 }
 
-// TestCrossModeDeterminism runs the canonical request script against an
-// MVCC server and a locked-baseline server: every response body must be
-// byte-identical. The MVCC read path serves from replicas, but replicas are
-// byte-identical clones kept converged by delta replay, so the mode is
-// invisible in responses.
-func TestCrossModeDeterminism(t *testing.T) {
-	leakcheck.Check(t)
-	_, mvcc := newTestServer(t, Config{ReadMode: ReadModeMVCC})
-	_, locked := newTestServer(t, Config{ReadMode: ReadModeLocked})
-	a := runScript(t, mvcc)
-	b := runScript(t, locked)
-	for i := range a {
-		if !bytes.Equal(a[i], b[i]) {
-			t.Errorf("step %d (%s %s): mvcc vs locked differ:\n  %s\n  %s",
-				i, determinismScript[i].path, determinismScript[i].body, a[i], b[i])
+// TestReadModeConfig pins Config.ReadMode: "" and "mvcc" boot the one read
+// path, and any other value — the removed "locked" included — fails New.
+func TestReadModeConfig(t *testing.T) {
+	for _, mode := range []string{"", ReadModeMVCC, "locked"} {
+		g, groups := testGraph(t)
+		_, err := New(g, groups, Config{ReadMode: mode})
+		if want := mode != "locked"; (err == nil) != want {
+			t.Errorf("New with ReadMode %q: err = %v, want success = %v", mode, err, want)
 		}
 	}
 }
 
 // TestSlowReadDoesNotBlockWrite holds a summarize in flight via the test
 // hook and checks that an update completes while the reader is pinned — the
-// acceptance criterion for dropping the read lock. In locked mode the same
-// sequence would wedge: the RLock held across the slow compute blocks the
-// writer until the reader finishes.
+// acceptance criterion for dropping the read lock: a read lock held across
+// the slow compute would block the writer until the reader finishes.
 func TestSlowReadDoesNotBlockWrite(t *testing.T) {
 	leakcheck.Check(t)
 	g, groups := testGraph(t)

@@ -2,7 +2,7 @@
 // over one live graph, designed for heavy concurrent read traffic with a
 // serialized write path (DESIGN.md §10, §11).
 //
-// Concurrency model — single writer, many readers, MVCC by default:
+// Concurrency model — single writer, many readers, MVCC:
 //
 //   - Read endpoints (summarize, summarize-k, view, workload, stats) pin the
 //     current epoch view — an immutable (epoch, graph replica, summary)
@@ -13,10 +13,6 @@
 //     Inc-FGS Maintainer under the write lock, advance the graph epoch when —
 //     and only when — the batch changed the graph, and publish a fresh view
 //     by O(delta) replay onto a pooled replica (view.go).
-//   - Config.ReadMode "locked" restores the pre-MVCC behavior — readers
-//     under an RWMutex read lock against the live graph — and exists as the
-//     comparison baseline for benchmarks and the cross-mode determinism
-//     tests; responses are byte-identical across modes.
 //
 // Around the engine sit admission control (a bounded worker semaphore with
 // a bounded wait queue; saturation answers 503 + Retry-After), per-request
@@ -81,16 +77,15 @@ type Config struct {
 	// EmbedCap bounds embedding enumeration for view and workload queries
 	// when the request does not set its own (0 = matcher default).
 	EmbedCap int
-	// ReadMode selects the read path: "mvcc" (default) serves reads from
-	// pinned epoch views so they never contend with the writer; "locked"
-	// serves them under the engine RWMutex against the live graph (the
-	// pre-MVCC baseline, kept for benchmarking and cross-mode tests).
+	// ReadMode names the read path. The only one is "mvcc", which serves
+	// reads from pinned epoch views so they never contend with the writer;
+	// "" means the same. Any other value makes New fail.
 	ReadMode string
 	// MaxViews caps the MVCC replica pool — the current view plus views
 	// still pinned by readers plus free replicas. Each replica is a full
 	// graph copy, so this bounds the engine's graph memory to MaxViews×|G|;
 	// when the pool is exhausted the writer waits for a reader to release a
-	// view. 0 picks the default (3). Ignored in locked mode.
+	// view. 0 picks the default (3).
 	MaxViews int
 	// Obs receives request spans (when it carries a trace), per-endpoint
 	// latency histograms, and cache/admission counters. Nil installs a
@@ -162,9 +157,6 @@ func (c Config) withDefaults() Config {
 	if c.Deadline == 0 {
 		c.Deadline = 30 * time.Second
 	}
-	if c.ReadMode == "" {
-		c.ReadMode = ReadModeMVCC
-	}
 	if c.FlightEvents == 0 {
 		c.FlightEvents = 1024
 	}
@@ -182,11 +174,9 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Read path modes for Config.ReadMode.
-const (
-	ReadModeMVCC   = "mvcc"
-	ReadModeLocked = "locked"
-)
+// ReadModeMVCC is the read path's name in Config.ReadMode and in the
+// "mode" field of /v1/stats and /debug/fgs/views.
+const ReadModeMVCC = "mvcc"
 
 func maxInt(a, b int) int {
 	if a > b {
@@ -200,21 +190,18 @@ func maxInt(a, b int) int {
 type Server struct {
 	cfg Config
 
-	// mu serializes writers in both read modes. In locked mode it is also
-	// the many-reader gate over g, maint, and summary; in mvcc mode readers
-	// never acquire it — they pin views instead.
-	mu      sync.RWMutex
-	g       *graph.Graph
-	groups  *submod.Groups
-	maint   *core.Maintainer
-	summary *core.Summary
+	// mu serializes writers over the live graph g and the maintainer.
+	// Readers never acquire it — they pin views instead.
+	mu     sync.Mutex
+	g      *graph.Graph
+	groups *submod.Groups
+	maint  *core.Maintainer
 
-	// views is the MVCC publication state; nil in locked mode.
+	// views is the MVCC publication state readers pin.
 	views *viewSet
 
 	// epoch counts graph-changing write batches. It is written only under
-	// mu's write lock; reads under the read lock (or lock-free for cache
-	// probes) see a consistent value.
+	// mu; readers load it lock-free.
 	epoch atomic.Uint64
 
 	cache    *resultCache
@@ -240,7 +227,7 @@ type Server struct {
 
 	// Durability (DESIGN.md §15). store is nil when the engine is purely
 	// in-memory. sinceSnap counts graph-changing batches since the last
-	// snapshot trigger (guarded by mu's write lock); snapWG tracks
+	// snapshot trigger (guarded by mu); snapWG tracks
 	// background snapshot writers so drain can wait them out.
 	store     *store.Store
 	sinceSnap int
@@ -256,8 +243,8 @@ type Server struct {
 // request) and wires the cache, admission control, and HTTP routes.
 func New(g *graph.Graph, groups *submod.Groups, cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
-	if cfg.ReadMode != ReadModeMVCC && cfg.ReadMode != ReadModeLocked {
-		return nil, fmt.Errorf("server: unknown read mode %q (have %q, %q)", cfg.ReadMode, ReadModeMVCC, ReadModeLocked)
+	if cfg.ReadMode != "" && cfg.ReadMode != ReadModeMVCC {
+		return nil, fmt.Errorf("server: unknown read mode %q (have %q)", cfg.ReadMode, ReadModeMVCC)
 	}
 	util, err := buildUtility(g, cfg.Utility)
 	if err != nil {
@@ -303,24 +290,24 @@ func New(g *graph.Graph, groups *submod.Groups, cfg Config) (*Server, error) {
 	// bound over the server's lifetime).
 	mcfg := s.coreConfig(cfg.R, cfg.K, cfg.N)
 	mcfg.Obs = cfg.Obs
+	var sum *core.Summary
 	if cfg.Resume != nil && !cfg.Resume.Fresh {
 		// Recovery boot: resume the maintainer from the snapshot checkpoint,
 		// then replay the WAL tail through the same Apply path that produced
 		// it. Determinism makes the replay exact — each logged batch changed
 		// the graph when it was first applied, so it must again; a batch that
 		// suddenly applies nothing means the snapshot and log disagree.
-		m, sum, err := core.ResumeMaintainer(g, groups, util, mcfg, cfg.Resume.State)
+		s.maint, sum, err = core.ResumeMaintainer(g, groups, util, mcfg, cfg.Resume.State)
 		if err != nil {
 			return nil, fmt.Errorf("server: %w", err)
 		}
 		for _, rec := range cfg.Resume.Tail {
-			s2, applied, _ := m.Apply(rec.Delta)
+			s2, applied, _ := s.maint.Apply(rec.Delta)
 			if applied == 0 {
 				return nil, fmt.Errorf("server: recovery replay diverged at epoch %d: logged batch applied no change", rec.Epoch)
 			}
 			sum = s2
 		}
-		s.maint, s.summary = m, sum
 		s.epoch.Store(cfg.Resume.Epoch)
 		s.log.Info("recovery",
 			"snapshot_epoch", cfg.Resume.SnapshotEpoch,
@@ -330,7 +317,7 @@ func New(g *graph.Graph, groups *submod.Groups, cfg Config) (*Server, error) {
 			"truncated", cfg.Resume.Truncated,
 			"covered", len(sum.Covered))
 	} else {
-		s.maint, s.summary = core.NewMaintainer(g, groups, util, mcfg)
+		s.maint, sum = core.NewMaintainer(g, groups, util, mcfg)
 		if s.store != nil {
 			// Seal the initial state so a crash before the first snapshot
 			// trigger still recovers: epoch 0 = this graph + this checkpoint.
@@ -346,11 +333,9 @@ func New(g *graph.Graph, groups *submod.Groups, cfg Config) (*Server, error) {
 	if s.store != nil {
 		reg.Register(s.store)
 	}
-	if cfg.ReadMode == ReadModeMVCC {
-		s.views = newViewSet(g, s.summary, cfg.MaxViews, s.clock, s.epoch.Load())
-		reg.Register(s.views)
-	}
-	reg.Register(s) // epoch gauge, authoritative in both read modes
+	s.views = newViewSet(g, sum, cfg.MaxViews, s.clock, s.epoch.Load())
+	reg.Register(s.views)
+	reg.Register(s) // epoch gauge
 	s.routes()
 	return s, nil
 }
@@ -409,10 +394,9 @@ func (s *Server) Draining() bool { return s.draining.Load() }
 // --- compute paths -------------------------------------------------------
 //
 // Every compute method works against one consistent read context: a pinned
-// epoch view (mvcc) or the live graph under the read lock (locked). Either
-// way the (epoch, graph, summary) triple cannot change for the duration of
-// the computation, so the response is cached under exactly the epoch it was
-// computed at.
+// epoch view, whose (epoch, graph, summary) triple cannot change for the
+// duration of the computation, so the response is cached under exactly the
+// epoch it was computed at.
 
 // readCtx is one consistent read of the engine: the graph and maintained
 // summary frozen at epoch. release must be called exactly once when the
@@ -424,30 +408,18 @@ type readCtx struct {
 	release func()
 }
 
-// acquireRead opens a read context on the current engine state. In mvcc
-// mode this pins the current view — an O(1) refcount bump, no engine lock;
-// in locked mode it takes the RWMutex read lock for the context's lifetime.
-// The pin stage span measures how long acquisition took: in mvcc mode it is
-// nanoseconds, in locked mode it surfaces writer contention.
+// acquireRead opens a read context on the current engine state: it pins
+// the current view — an O(1) refcount bump, no engine lock. The pin stage
+// span measures how long acquisition took.
 func (s *Server) acquireRead(rt *obs.ReqTrace) readCtx {
 	sp := rt.Start(obs.StagePin)
-	if s.views != nil {
-		v := s.views.pin()
-		sp.End()
-		return readCtx{
-			epoch:   v.epoch,
-			g:       v.g,
-			summary: v.summary,
-			release: func() { s.views.unpin(v) },
-		}
-	}
-	s.mu.RLock() // ok (pairdiscipline): the RUnlock is handed off as the readCtx's release func
+	v := s.views.pin()
 	sp.End()
 	return readCtx{
-		epoch:   s.epoch.Load(),
-		g:       s.g,
-		summary: s.summary,
-		release: s.mu.RUnlock,
+		epoch:   v.epoch,
+		g:       v.g,
+		summary: v.summary,
+		release: func() { s.views.unpin(v) },
 	}
 }
 
@@ -516,11 +488,10 @@ func (s *Server) computeWorkload(rt *obs.ReqTrace, req *WorkloadRequest) (*Workl
 }
 
 // computeUpdate applies one write batch through the maintainer under the
-// write lock and advances the epoch iff the graph changed. In mvcc mode a
-// graph-changing batch additionally publishes the new epoch's view: replay
-// of the same delta onto a pooled replica plus a pointer swap, after which
-// newly arriving readers see the new epoch while readers already pinned
-// keep their old one.
+// write lock and advances the epoch iff the graph changed. A graph-changing
+// batch publishes the new epoch's view: replay of the same delta onto a
+// pooled replica plus a pointer swap, after which newly arriving readers see
+// the new epoch while readers already pinned keep their old one.
 func (s *Server) computeUpdate(rt *obs.ReqTrace, req *UpdateRequest) (*UpdateResponse, error) {
 	delta := core.Delta{}
 	for _, e := range req.Insert {
@@ -532,12 +503,9 @@ func (s *Server) computeUpdate(rt *obs.ReqTrace, req *UpdateRequest) (*UpdateRes
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	sum, applied, err := s.maint.Apply(delta)
-	s.summary = sum
 	if applied > 0 {
 		epoch := s.epoch.Add(1)
-		if s.views != nil {
-			s.views.publish(delta, epoch, sum)
-		}
+		s.views.publish(delta, epoch, sum)
 		if s.store != nil {
 			// Log the batch exactly as requested — replay re-applies it
 			// through the same Apply path, where per-edge failures repeat
@@ -577,12 +545,11 @@ func (s *Server) computeUpdate(rt *obs.ReqTrace, req *UpdateRequest) (*UpdateRes
 // maybeSnapshotLocked counts a graph-changing batch and, every
 // SnapshotEvery of them, snapshots the engine at the just-published epoch.
 // Caller holds the write lock, where the maintainer checkpoint is cheap and
-// consistent with the epoch. In mvcc mode the expensive part — streaming
-// the graph image — runs off the write path against the pinned epoch view
-// (its replica is frozen at exactly this epoch); locked mode has no frozen
-// replica to lean on and writes synchronously from the live graph, the
-// documented cost of that baseline. A snapshot already in flight skips the
-// trigger — the counter keeps accumulating, so the next batch retries.
+// consistent with the epoch. The expensive part — streaming the graph
+// image — runs off the write path against the pinned epoch view (its
+// replica is frozen at exactly this epoch). A snapshot already in flight
+// skips the trigger — the counter keeps accumulating, so the next batch
+// retries.
 func (s *Server) maybeSnapshotLocked(epoch uint64) {
 	s.sinceSnap++
 	if s.cfg.SnapshotEvery <= 0 || s.sinceSnap < s.cfg.SnapshotEvery {
@@ -593,35 +560,26 @@ func (s *Server) maybeSnapshotLocked(epoch uint64) {
 		s.log.Error("snapshot checkpoint failed", "epoch", epoch, "err", err)
 		return
 	}
-	if s.views != nil {
-		v := s.views.pin() // the current view: just published at this epoch
-		sn, err := s.store.BeginSnapshot(epoch)
-		if err != nil {
-			s.views.unpin(v)
-			s.log.Info("snapshot skipped", "epoch", epoch, "reason", err)
-			return
-		}
-		s.sinceSnap = 0
-		s.snapWG.Add(1)
-		go func() {
-			defer s.snapWG.Done()
-			defer s.views.unpin(v)
-			sn.WriteGraph(v.g)
-			sn.WriteState(st)
-			if err := sn.Commit(); err != nil {
-				s.log.Error("snapshot failed", "epoch", epoch, "err", err)
-				return
-			}
-			s.log.Info("snapshot", "epoch", epoch)
-		}()
+	v := s.views.pin() // the current view: just published at this epoch
+	sn, err := s.store.BeginSnapshot(epoch)
+	if err != nil {
+		s.views.unpin(v)
+		s.log.Info("snapshot skipped", "epoch", epoch, "reason", err)
 		return
 	}
 	s.sinceSnap = 0
-	if err := s.store.WriteSnapshot(epoch, s.g, st); err != nil {
-		s.log.Error("snapshot failed", "epoch", epoch, "err", err)
-		return
-	}
-	s.log.Info("snapshot", "epoch", epoch)
+	s.snapWG.Add(1)
+	go func() {
+		defer s.snapWG.Done()
+		defer s.views.unpin(v)
+		sn.WriteGraph(v.g)
+		sn.WriteState(st)
+		if err := sn.Commit(); err != nil {
+			s.log.Error("snapshot failed", "epoch", epoch, "err", err)
+			return
+		}
+		s.log.Info("snapshot", "epoch", epoch)
+	}()
 }
 
 // FinalSnapshot writes a synchronous snapshot of the current state unless
@@ -667,12 +625,8 @@ func (s *Server) computeStats(rt *obs.ReqTrace) (*StatsResponse, uint64, error) 
 		Cache:     s.cache.stats(),
 		Admission: s.adm.stats(),
 	}
-	if s.views != nil {
-		st := s.views.stats()
-		resp.Mvcc = &st
-	} else {
-		resp.Mvcc = &MvccStats{Mode: ReadModeLocked}
-	}
+	st := s.views.stats()
+	resp.Mvcc = &st
 	return resp, rc.epoch, nil
 }
 

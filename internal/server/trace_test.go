@@ -176,17 +176,6 @@ func TestDebugViewsEndpoint(t *testing.T) {
 	if d.Replicas != d.MaxViews || d.Publishes != 1 || d.LogLen == 0 {
 		t.Fatalf("views debug pool state = %+v", d)
 	}
-
-	// Locked mode degrades to mode+epoch.
-	_, locked := newTestServer(t, Config{ReadMode: ReadModeLocked})
-	resp, body = get(t, locked, "/debug/fgs/views")
-	wantStatus(t, resp, body, http.StatusOK)
-	if err := json.Unmarshal(body, &d); err != nil {
-		t.Fatal(err)
-	}
-	if d.Mode != ReadModeLocked {
-		t.Fatalf("locked views debug mode = %q", d.Mode)
-	}
 }
 
 func TestDebugCacheEndpoint(t *testing.T) {

@@ -68,8 +68,7 @@ type viewSet struct {
 
 	// Instruments: replica gauge, publish latency (µs), and the clone /
 	// writer-wait counters that reveal pool pressure. (The epoch gauge is
-	// exported by the Server, which owns the authoritative counter in both
-	// read modes.)
+	// exported by the Server, which owns the authoritative counter.)
 	publishUs   obs.Histogram
 	publishes   obs.Counter
 	clones      obs.Counter
@@ -249,7 +248,7 @@ func (vs *viewSet) pruneLog(minEpoch uint64) {
 func (vs *viewSet) stats() MvccStats {
 	vs.mu.Lock()
 	st := MvccStats{
-		Mode:        "mvcc",
+		Mode:        ReadModeMVCC,
 		MaxViews:    vs.maxViews,
 		Replicas:    vs.replicas,
 		Publishes:   vs.publishes.Load(),

@@ -10,7 +10,13 @@ build:
 test:
 	$(GO) test ./...
 
-# The concurrent packages again under the race detector (mirrors CI).
+# The concurrent packages again under the race detector (CI's Race step):
+# the parallel scoring pipeline, the sharded E_v^r cache, the matcher
+# fan-out, the observability collectors (incl. the request tracer and flight
+# recorder), the graph reads they all share, the serving engine's
+# single-writer/many-reader paths, fgstore's group-commit flusher and
+# snapshot writer, and fgsbench's workload driver (client and writer
+# goroutines sharing an in-flight counter, a stop flag and the heap sampler).
 race:
 	$(GO) test -race ./internal/mining/ ./internal/pattern/ ./internal/core/ ./internal/graph/ ./internal/obs/ ./internal/server/ ./internal/store/ ./cmd/fgsbench/
 
@@ -45,7 +51,7 @@ govulncheck:
 bench:
 	$(GO) test -bench=. -benchmem -timeout 120m
 
-# bench-ci mirrors CI's bench job: the performance-sensitive paths only,
+# bench-ci is CI's bench job: the performance-sensitive paths only,
 # with the raw -json stream archived under a dated name for benchstat /
 # bench-compare diffs. The pinned set covers selection (GreedyCover), the
 # mining pipeline (SumGen*), the E_v^r cache, the matcher hot paths, the

@@ -16,11 +16,13 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
 	fgs "github.com/cwru-db/fgs"
 	"github.com/cwru-db/fgs/datasets"
+	"github.com/cwru-db/fgs/internal/submod"
 )
 
 func main() {
@@ -35,7 +37,7 @@ func main() {
 		k         = flag.Int("k", 20, "max patterns (kapxfgs/online)")
 		r         = flag.Int("r", 2, "reconstruction hops")
 		algo      = flag.String("algo", "apxfgs", "apxfgs, kapxfgs, or online")
-		utilFlag  = flag.String("utility", "coverage", "coverage:<edgelabel>, rating:<attr>, or cardinality")
+		utilFlag  = flag.String("utility", "coverage", "coverage[:edgelabel], rating[:attr], diversity:attr, or cardinality")
 		verify    = flag.Bool("verify", true, "run rverify on the result")
 		export    = flag.String("export", "", "write the summary as JSON to this file")
 		workers   = flag.Int("workers", 0, "mining/scoring worker goroutines (0 = sequential; results identical)")
@@ -67,7 +69,11 @@ func main() {
 		fatal(err)
 	}
 
-	makeUtil := func() fgs.Utility { return buildUtility(g, *utilFlag) }
+	util, err := submod.ParseUtility(g, *utilFlag)
+	if err != nil {
+		fatal(err)
+	}
+	makeUtil := util.Clone
 	cfg := fgs.Config{R: *r, N: *n, Workers: *workers}
 
 	// Observability is opt-in: any obs flag installs a collector. It changes
@@ -144,65 +150,13 @@ func main() {
 	}
 
 	if observer != nil {
-		if err := exportObs(observer, *traceOut, *metricsOut, *obsSummary); err != nil {
+		var table io.Writer
+		if *obsSummary {
+			table = os.Stderr
+		}
+		if err := observer.Export(*traceOut, *metricsOut, table); err != nil {
 			fatal(err)
 		}
-	}
-}
-
-// exportObs writes whatever the observer collected: the Chrome trace, the
-// Prometheus text file, and/or a summary table on stderr.
-func exportObs(o *fgs.Observer, tracePath, metricsPath string, table bool) error {
-	if tracePath != "" {
-		f, err := os.Create(tracePath)
-		if err != nil {
-			return err
-		}
-		if err := fgs.WriteChromeTrace(f, o.Trace); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "trace written to %s\n", tracePath)
-	}
-	ms := append(o.Reg.Gather(), fgs.PhaseMetrics(o.Trace)...)
-	if metricsPath != "" {
-		f, err := os.Create(metricsPath)
-		if err != nil {
-			return err
-		}
-		if err := fgs.WritePrometheus(f, ms); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "metrics written to %s\n", metricsPath)
-	}
-	if table {
-		fmt.Fprint(os.Stderr, fgs.FormatMetricTable(ms))
-	}
-	return nil
-}
-
-func buildUtility(g *fgs.Graph, spec string) fgs.Utility {
-	kind, arg, _ := strings.Cut(spec, ":")
-	switch kind {
-	case "coverage":
-		return fgs.NewNeighborCoverage(g, fgs.NeighborsIn, arg)
-	case "rating":
-		if arg == "" {
-			arg = "rating"
-		}
-		return fgs.NewRatingSum(g, arg)
-	case "cardinality":
-		return fgs.NewCardinality()
-	default:
-		fatal(fmt.Errorf("unknown utility %q", spec))
-		return nil
 	}
 }
 

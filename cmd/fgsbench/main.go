@@ -21,6 +21,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"net/http"
 	_ "net/http/pprof" // mounted on the -fgs.metrics-addr listener
 	"os"
@@ -174,16 +175,15 @@ func main() {
 
 	stopMetrics()
 	if observer != nil {
-		if err := exportObs(observer, *traceOut, *metricsOut, *obsSummary); err != nil {
+		var table io.Writer
+		if *obsSummary {
+			table = os.Stderr
+		}
+		if err := observer.Export(*traceOut, *metricsOut, table); err != nil {
 			fmt.Fprintln(os.Stderr, "fgsbench:", err)
 			os.Exit(1)
 		}
 	}
-}
-
-// gatherAll merges the component counters with the per-phase span metrics.
-func gatherAll(o *obs.Observer) []obs.Metric {
-	return append(o.Reg.Gather(), obs.PhaseMetrics(o.Trace)...)
 }
 
 // serveMetrics exposes /metrics in the Prometheus text format plus the
@@ -194,7 +194,7 @@ func gatherAll(o *obs.Observer) []obs.Metric {
 func serveMetrics(addr string, o *obs.Observer) func() {
 	http.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-		if err := obs.WritePrometheus(w, gatherAll(o)); err != nil {
+		if err := obs.WritePrometheus(w, o.Gather()); err != nil {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 		}
 	})
@@ -212,46 +212,6 @@ func serveMetrics(addr string, o *obs.Observer) func() {
 			fmt.Fprintf(os.Stderr, "fgsbench: metrics shutdown: %v\n", err)
 		}
 	}
-}
-
-// exportObs writes whatever the observer collected: the Chrome trace, the
-// Prometheus text file, and/or a summary table on stderr.
-func exportObs(o *obs.Observer, tracePath, metricsPath string, table bool) error {
-	if tracePath != "" {
-		f, err := os.Create(tracePath)
-		if err != nil {
-			return err
-		}
-		if err := obs.WriteChromeTrace(f, o.Trace); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "fgsbench: trace written to %s\n", tracePath)
-	}
-	if metricsPath != "" || table {
-		ms := gatherAll(o)
-		if metricsPath != "" {
-			f, err := os.Create(metricsPath)
-			if err != nil {
-				return err
-			}
-			if err := obs.WritePrometheus(f, ms); err != nil {
-				f.Close()
-				return err
-			}
-			if err := f.Close(); err != nil {
-				return err
-			}
-			fmt.Fprintf(os.Stderr, "fgsbench: metrics written to %s\n", metricsPath)
-		}
-		if table {
-			fmt.Fprint(os.Stderr, obs.FormatTable(ms))
-		}
-	}
-	return nil
 }
 
 // writeCSV emits one row per data point for plotting tools.

@@ -80,7 +80,7 @@ func main() {
 		demoSeed  = flag.Int64("demo-seed", 42, "demo graph generator seed")
 		demoScale = flag.Int("demo-scale", 1, "demo graph scale")
 
-		traceOut   = flag.String("fgs.trace", "", "write a Chrome trace of request and maintainer spans to this file on shutdown")
+		traceOut   = flag.String("fgs.trace", "", "write a Chrome trace of the maintainer's phase spans to this file on shutdown")
 		metricsOut = flag.String("fgs.metrics-out", "", "write final runtime counters in Prometheus text format to this file on shutdown")
 		obsSummary = flag.Bool("fgs.obs-summary", false, "print the runtime-counter summary table to stderr on shutdown")
 	)
@@ -261,49 +261,16 @@ func main() {
 		}
 	}
 	if observer != nil {
-		if err := exportObs(log, observer, *traceOut, *metricsOut, *obsSummary); err != nil {
+		var table io.Writer
+		if *obsSummary {
+			table = os.Stderr
+		}
+		if err := observer.Export(*traceOut, *metricsOut, table); err != nil {
 			fatal(err)
 		}
+		log.Info("observability exported", "trace", *traceOut, "metrics", *metricsOut)
 	}
 	log.Info("drained")
-}
-
-// exportObs writes whatever the observer collected: the Chrome trace, the
-// Prometheus text file, and/or a summary table on stderr.
-func exportObs(log *slog.Logger, o *fgs.Observer, tracePath, metricsPath string, table bool) error {
-	if tracePath != "" {
-		f, err := os.Create(tracePath)
-		if err != nil {
-			return err
-		}
-		if err := fgs.WriteChromeTrace(f, o.Trace); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		log.Info("trace written", "path", tracePath)
-	}
-	ms := append(o.Reg.Gather(), fgs.PhaseMetrics(o.Trace)...)
-	if metricsPath != "" {
-		f, err := os.Create(metricsPath)
-		if err != nil {
-			return err
-		}
-		if err := fgs.WritePrometheus(f, ms); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		log.Info("metrics written", "path", metricsPath)
-	}
-	if table {
-		fmt.Fprint(os.Stderr, fgs.FormatMetricTable(ms))
-	}
-	return nil
 }
 
 func fatal(err error) {

@@ -6,7 +6,6 @@ import (
 
 	"github.com/cwru-db/fgs/internal/graph"
 	"github.com/cwru-db/fgs/internal/mining"
-	"github.com/cwru-db/fgs/internal/obs"
 	"github.com/cwru-db/fgs/internal/pattern"
 	"github.com/cwru-db/fgs/internal/submod"
 )
@@ -45,10 +44,8 @@ type Maintainer struct {
 	matcher  *pattern.Matcher
 
 	run *runObs
-	// clock is the sanctioned timing source for TimeBatch.
-	clock obs.Clock
 	// candidates and windows (applied batches) accumulate across ApplyDelta
-	// calls; timings live in the span tree.
+	// calls; phase timings accumulate in run.
 	candidates int
 	windows    int
 }
@@ -68,7 +65,6 @@ func NewMaintainer(g *graph.Graph, groups *submod.Groups, util submod.Utility, c
 		util:    util,
 		matcher: pattern.NewMatcher(g, cfg.Mining.EmbedCap),
 		run:     run,
-		clock:   cfg.Obs.GetClock(),
 	}
 	run.register(m.er)
 	run.register(m.sel)
@@ -306,9 +302,9 @@ func (m *Maintainer) Summary() *Summary {
 func (m *Maintainer) Selected() []graph.NodeID { return m.sel.Selected() }
 
 // TimeBatch is a helper for benchmarks: apply a batch and report elapsed
-// time via the maintainer's sanctioned clock.
+// time via the run's sanctioned clock.
 func (m *Maintainer) TimeBatch(batch []EdgeUpdate) (*Summary, time.Duration, error) {
-	start := m.clock.Now()
+	start := m.run.clock.Now()
 	s, err := m.ApplyBatch(batch)
-	return s, m.clock.Now().Sub(start), err
+	return s, m.run.clock.Now().Sub(start), err
 }

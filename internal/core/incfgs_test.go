@@ -1,6 +1,7 @@
 package core
 
 import (
+	"runtime"
 	"testing"
 
 	"github.com/cwru-db/fgs/internal/graph"
@@ -173,4 +174,46 @@ func TestMaintainerTimeBatch(t *testing.T) {
 	if s == nil || dur < 0 {
 		t.Fatal("TimeBatch returned bad values")
 	}
+}
+
+// TestMaintainerSummaryCostFlat pins that a long-lived maintainer's
+// Summary() costs the same after 2,000 batches as after 20: the run keeps a
+// fixed set of phase timings, not a record per batch.
+func TestMaintainerSummaryCostFlat(t *testing.T) {
+	g, groups, util := talentFixture(t)
+	fresh := g.AddNode("user", nil)
+	m, s := NewMaintainer(g, groups, util, defaultCfg())
+	// Insert and delete one edge into a covered node, so the graph returns
+	// to its start every two batches.
+	edge := []EdgeUpdate{{From: fresh, To: s.Covered[0], Label: "recommend"}}
+	var at20 uint64
+	for i := 1; i <= 2000; i++ {
+		d := Delta{Insert: edge}
+		if i%2 == 0 {
+			d = Delta{Delete: edge}
+		}
+		if _, applied, err := m.Apply(d); err != nil || applied != 1 {
+			t.Fatalf("batch %d: applied %d, err %v", i, applied, err)
+		}
+		if i == 20 {
+			at20 = summaryAllocBytes(m)
+		}
+	}
+	at2000 := summaryAllocBytes(m)
+	t.Logf("Summary() allocates %d B after 20 batches, %d B after 2000", at20, at2000)
+	if float64(at2000) > 1.5*float64(at20) {
+		t.Fatalf("Summary() allocates %d B after 2000 batches against %d B after 20", at2000, at20)
+	}
+}
+
+// summaryAllocBytes returns the mean heap bytes one Summary() call allocates.
+func summaryAllocBytes(m *Maintainer) uint64 {
+	const calls = 50
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < calls; i++ {
+		m.Summary()
+	}
+	runtime.ReadMemStats(&after)
+	return (after.TotalAlloc - before.TotalAlloc) / calls
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 	"time"
 
@@ -76,11 +77,10 @@ func TestObserverInertForSummaries(t *testing.T) {
 	}
 }
 
-// TestStatsFromSpans checks that core.Stats is a faithful view of the span
-// tree: phase durations come from the recorded spans (driven here by a
-// frozen clock the algorithms cannot tick), and phases appear in execution
-// order.
-func TestStatsFromSpans(t *testing.T) {
+// TestStatsUnderFrozenClock checks that core.Stats times phases with the
+// run's clock (the attached trace's frozen clock here, which the algorithms
+// cannot tick), and that phases appear in execution order.
+func TestStatsUnderFrozenClock(t *testing.T) {
 	g, groups, util := talentFixture(t)
 	cfg := defaultCfg()
 	cfg.Obs = obs.NewObserver(obs.NewFrozen(time.Unix(100, 0)))
@@ -109,5 +109,79 @@ func TestStatsFromSpans(t *testing.T) {
 	}
 	if got := s.Stats.Total(); got != 0 {
 		t.Fatalf("Total() = %v under a frozen clock", got)
+	}
+}
+
+// TestAttachedTraceShape pins the spans an attached trace gets from the
+// algorithms, which perfbench's applyPhases and the CLIs' Chrome traces
+// read: a maintainer records one incfgs root whose finished children are its
+// phases, as many per name as Stats counts, and APXFGS annotates its mine
+// and summarize spans with the candidate and pattern counts.
+func TestAttachedTraceShape(t *testing.T) {
+	g, groups, util := talentFixture(t)
+	fresh := g.AddNode("user", nil)
+	cfg := defaultCfg()
+	cfg.Obs = obs.NewObserver(obs.NewFrozen(time.Unix(0, 0)))
+	m, s := NewMaintainer(g, groups, util, cfg)
+	edge := []EdgeUpdate{{From: fresh, To: s.Covered[0], Label: "recommend"}}
+	for i := 0; i < 10; i++ {
+		d := Delta{Insert: edge}
+		if i%2 == 1 {
+			d = Delta{Delete: edge}
+		}
+		var err error
+		if s, _, err = m.Apply(d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	recs := cfg.Obs.Trace.Records()
+	root := int32(-1)
+	for i, r := range recs {
+		if r.Parent >= 0 {
+			continue
+		}
+		if r.Name != "incfgs" || root >= 0 {
+			t.Fatalf("root span %d is %q; want one incfgs root", i, r.Name)
+		}
+		root = int32(i)
+	}
+	if root < 0 {
+		t.Fatal("no incfgs root span")
+	}
+	spans := map[string]int{}
+	for _, r := range recs {
+		if r.Parent != root || !r.Done {
+			continue
+		}
+		switch r.Name {
+		case PhaseSelect, PhaseMine, PhaseSummarize:
+			spans[r.Name]++
+		default:
+			t.Fatalf("incfgs child span %q", r.Name)
+		}
+	}
+	stats := map[string]int{}
+	for _, ph := range s.Stats.Phases {
+		stats[ph.Name] = ph.Count
+	}
+	if !reflect.DeepEqual(spans, stats) {
+		t.Fatalf("incfgs child spans %v, Stats phases %v", spans, stats)
+	}
+
+	g, groups, util = talentFixture(t)
+	cfg = defaultCfg()
+	cfg.Obs = obs.NewObserver(obs.NewFrozen(time.Unix(0, 0)))
+	if _, err := APXFGS(g, groups, util, cfg); err != nil {
+		t.Fatal(err)
+	}
+	args := map[string][]string{}
+	for _, r := range cfg.Obs.Trace.Records() {
+		for _, a := range r.Args {
+			args[r.Name] = append(args[r.Name], a.Key)
+		}
+	}
+	want := map[string][]string{PhaseMine: {"candidates"}, PhaseSummarize: {"patterns"}}
+	if !reflect.DeepEqual(args, want) {
+		t.Fatalf("apxfgs span args %v, want %v", args, want)
 	}
 }

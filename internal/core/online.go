@@ -34,8 +34,8 @@ type Online struct {
 	util     submod.Utility
 
 	run *runObs
-	// candidates and windows accumulate across Process calls; the phase
-	// timings themselves live in the span tree (see Stats).
+	// candidates and windows accumulate across Process calls; phase timings
+	// accumulate in run (see Stats).
 	candidates int
 	windows    int
 }
@@ -315,8 +315,8 @@ func (o *Online) rescoreAll() {
 	o.patterns = kept
 }
 
-// Stats exposes the accumulated phase timings so far, derived from the span
-// tree (safe to call mid-stream: only completed phase spans are counted).
+// Stats exposes the accumulated phase timings so far (safe to call
+// mid-stream: only completed phases are counted).
 func (o *Online) Stats() Stats { return o.run.stats(o.candidates, o.windows) }
 
 // Selected returns the current streaming selection.

@@ -118,7 +118,6 @@ func ResumeMaintainer(g *graph.Graph, groups *submod.Groups, util submod.Utility
 		util:       util,
 		matcher:    pattern.NewMatcher(g, cfg.Mining.EmbedCap),
 		run:        run,
-		clock:      cfg.Obs.GetClock(),
 		candidates: st.Candidates,
 		windows:    st.Windows,
 	}

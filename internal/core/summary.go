@@ -50,8 +50,8 @@ type Config struct {
 	// cache warming) unless that is set explicitly. 0/1 = sequential; results
 	// are identical at any setting.
 	Workers int
-	// Obs receives phase spans and runtime counters. Nil disables collection
-	// beyond the Stats view; it flows into Mining.Obs unless that is set.
+	// Obs receives phase spans and runtime counters. Nil disables both (Stats
+	// are kept regardless); it flows into Mining.Obs unless that is set.
 	Obs *obs.Observer
 }
 
@@ -128,9 +128,8 @@ type PhaseStat struct {
 	Count int
 }
 
-// Stats carries per-phase timings and counters. It is a view derived from
-// the run's span tree (see statsView), so Total can never drift from the
-// phases actually run.
+// Stats carries per-phase timings and counters. The run adds each phase as
+// it ends (see runObs), so Total is the sum of the phases actually run.
 type Stats struct {
 	// Phases lists the run's phases in first-execution order.
 	Phases []PhaseStat

@@ -147,23 +147,6 @@ type algoOutcome struct {
 	elapsed     time.Duration
 }
 
-// runAPXFGS executes APXFGS and normalizes its output. Timings come from the
-// setting's obs clock (system clock when no observer is installed).
-func runAPXFGS(st setting, r, n int) (algoOutcome, error) {
-	cfg := core.Config{R: r, N: n, Mining: miningCfg(st.workers), Obs: st.obs}
-	clock := st.obs.GetClock()
-	start := clock.Now()
-	sum, err := core.APXFGS(st.g, st.groups, st.util(), cfg)
-	if err != nil {
-		return algoOutcome{}, err
-	}
-	structure := 0
-	for _, pi := range sum.Patterns {
-		structure += pi.P.Size()
-	}
-	return algoOutcome{covered: sum.Covered, structure: structure, corrections: sum.Corrections.Len(), elapsed: clock.Now().Sub(start)}, nil
-}
-
 // runKAPXFGS executes the k-bounded variant.
 func runKAPXFGS(st setting, r, k, n int) (algoOutcome, error) {
 	cfg := core.Config{R: r, K: k, N: n, Mining: miningCfg(st.workers), Obs: st.obs}

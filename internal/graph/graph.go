@@ -430,9 +430,3 @@ func (g *Graph) UniverseSizes() [4]int32 {
 		int32(g.attrVals.Len()),
 	}
 }
-
-// NumNodeLabels reports how many distinct node labels exist.
-func (g *Graph) NumNodeLabels() int { return g.nodeLabels.Len() }
-
-// NumEdgeLabels reports how many distinct edge labels exist.
-func (g *Graph) NumEdgeLabels() int { return g.edgeLabels.Len() }

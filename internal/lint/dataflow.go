@@ -50,15 +50,6 @@ func (s factSet) unionInto(other factSet) bool {
 	return changed
 }
 
-func (s factSet) empty() bool {
-	for _, w := range s {
-		if w != 0 {
-			return false
-		}
-	}
-	return true
-}
-
 // flowProblem describes one forward may-analysis instance.
 type flowProblem struct {
 	numFacts int
@@ -119,16 +110,6 @@ func solveForward(cfg *funcCFG, p *flowProblem) *flowResult {
 		}
 	}
 	return res
-}
-
-// outOf recomputes the state leaving blk (entry state pushed through its
-// statements).
-func (r *flowResult) outOf(blk *cfgBlock) factSet {
-	out := r.in[blk.index].clone()
-	for _, n := range blk.stmts {
-		r.problem.transferStmt(n, out)
-	}
-	return out
 }
 
 // leaksAtExit reports the facts open on entry to the normal exit block —

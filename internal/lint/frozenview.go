@@ -1,8 +1,8 @@
 package lint
 
 // FrozenView enforces the MVCC immutability contract (DESIGN.md §12): a
-// graph obtained through a read path — `acquireRead`, an `epochView`, a
-// `viewSet.pin`, or `Graph.Snapshot` — is a published, shared structure
+// graph obtained through a read path — `acquireRead`, an `epochView`, or a
+// `viewSet.pin` — is a published, shared structure
 // that concurrent readers are traversing. Calling any mutating method on
 // it (the curated mutator set: AddNode/AddEdge/RemoveEdge on Graph, Intern
 // on Interner) corrupts readers at other epochs and breaks the
@@ -42,7 +42,6 @@ var frozenMutators = map[string]string{
 // function).
 var frozenSources = map[string]string{
 	"acquireRead": "",
-	"Snapshot":    "Graph",
 	"pin":         "viewSet",
 }
 

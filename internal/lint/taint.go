@@ -24,19 +24,11 @@ type taintSet struct {
 	seedExpr func(e ast.Expr) bool
 }
 
-// newTaintSet builds the taint set for fn's body: every variable assigned
+// solve iterates body's assignments to a fixpoint: every variable assigned
 // (directly or transitively) from an expression matching seedExpr is
-// tainted.
-// Clients that need the seed predicate to consult the taint set itself
-// (e.g. "a selector off a tainted base is tainted") construct the taintSet
-// directly, install seedExpr, and call solve.
-func newTaintSet(pass *Pass, body *ast.BlockStmt, seedExpr func(ast.Expr) bool) *taintSet {
-	ts := &taintSet{pass: pass, objs: make(map[types.Object]bool), seedExpr: seedExpr}
-	ts.solve(body)
-	return ts
-}
-
-// solve iterates body's assignments to a fixpoint.
+// tainted. Clients construct the taintSet, install seedExpr (which may
+// consult the set itself, e.g. "a selector off a tainted base is
+// tainted"), and call solve.
 func (ts *taintSet) solve(body *ast.BlockStmt) {
 	for changed := true; changed; {
 		changed = false

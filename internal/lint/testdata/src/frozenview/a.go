@@ -1,5 +1,5 @@
 // Fixture for frozenview: mutating methods on graphs reached from a read
-// view (acquireRead, epochView, viewSet.pin, Graph.Snapshot) are flagged;
+// view (acquireRead, epochView, viewSet.pin) are flagged;
 // clones, fresh graphs, and the allow-listed replay functions are not.
 package frozenview
 
@@ -8,7 +8,6 @@ type Graph struct{ n int }
 func (g *Graph) AddEdge(u, v int) error    { return nil }
 func (g *Graph) RemoveEdge(u, v int) error { return nil }
 func (g *Graph) AddNode(u int)             {}
-func (g *Graph) Snapshot() *Graph          { return g }
 func (g *Graph) Clone() *Graph             { return &Graph{n: g.n} }
 func (g *Graph) Degree(u int) int          { return 0 }
 
@@ -58,11 +57,6 @@ func mutatePinned(s *server) {
 	_ = v.g.RemoveEdge(1, 2) // want `v\.g\.RemoveEdge mutates a frozen read view`
 }
 
-func mutateSnapshot(g *Graph) {
-	snap := g.Snapshot()
-	snap.AddNode(1) // want `snap\.AddNode mutates a frozen read view`
-}
-
 func mutateInterner(rc readCtx) {
 	_ = rc.names.Intern("x") // want `rc\.names\.Intern mutates a frozen read view`
 }
@@ -97,12 +91,12 @@ func (vs *viewSet) catchUp(rep *epochView) {
 	_ = rep.g.RemoveEdge(3, 4)
 }
 
-// newViewSet seeds the first epoch from a snapshot before anything is
+// newViewSet seeds the first epoch's replica before anything is
 // published; also allow-listed.
-func newViewSet(g *Graph) *viewSet {
-	snap := g.Snapshot()
-	snap.AddNode(0) // ok: construction-time, nothing published yet
-	return &viewSet{cur: &epochView{g: snap}}
+func newViewSet(s *server) *viewSet {
+	rc := s.acquireRead()
+	rc.g.AddNode(0) // ok: construction-time, nothing published yet
+	return &viewSet{cur: &epochView{g: rc.g}}
 }
 
 func allowedEscapeHatch(s *server) {

@@ -22,6 +22,9 @@
 package obs
 
 import (
+	"errors"
+	"io"
+	"os"
 	"sync"
 	"time"
 )
@@ -74,8 +77,9 @@ type Observer struct {
 	Trace *Trace
 	// Reg receives runtime counters from the instrumented components.
 	Reg *Registry
-	// Clock overrides the clock used when the pipeline has to build its own
-	// trace (nil = System). When Trace is set, its clock wins.
+	// Clock times whatever the observer is attached to: algorithm phases
+	// (core.Stats), requests, figure runs (nil = System). An algorithm run
+	// with a Trace attached times its phases with the trace's clock instead.
 	Clock Clock
 }
 
@@ -117,4 +121,44 @@ func (o *Observer) Register(s Source) {
 	if o != nil {
 		o.Reg.Register(s)
 	}
+}
+
+// Gather returns the registry's series plus the trace's per-phase metrics
+// (fgs_phase_*): everything the observer collected, as metrics.
+func (o *Observer) Gather() []Metric {
+	return append(o.GetReg().Gather(), PhaseMetrics(o.GetTrace())...)
+}
+
+// Export writes what the observer collected: the trace as a Chrome trace to
+// tracePath and the Gather series in Prometheus text to metricsPath (each
+// skipped when its path is empty), and the series as a summary table to
+// table when it is non-nil. It is the end-of-run export of the CLIs'
+// -fgs.trace, -fgs.metrics-out and -fgs.obs-summary flags.
+func (o *Observer) Export(tracePath, metricsPath string, table io.Writer) error {
+	if tracePath != "" {
+		if err := writeFile(tracePath, func(w io.Writer) error { return WriteChromeTrace(w, o.GetTrace()) }); err != nil {
+			return err
+		}
+	}
+	ms := o.Gather()
+	if metricsPath != "" {
+		if err := writeFile(metricsPath, func(w io.Writer) error { return WritePrometheus(w, ms) }); err != nil {
+			return err
+		}
+	}
+	if table != nil {
+		_, err := io.WriteString(table, FormatTable(ms))
+		return err
+	}
+	return nil
+}
+
+// writeFile creates path, fills it with write, and closes it; a failed
+// write or close is returned (both, joined, when both fail).
+func writeFile(path string, write func(io.Writer) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	return errors.Join(write(f), f.Close())
 }

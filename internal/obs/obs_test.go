@@ -3,6 +3,8 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -264,5 +266,43 @@ func TestFormatTable(t *testing.T) {
 	}
 	if !strings.Contains(out, "count=1 sum=4 mean=4.00") {
 		t.Errorf("histogram row missing:\n%s", out)
+	}
+}
+
+// TestObserverExport checks the CLIs' end-of-run export: the Chrome trace,
+// the Prometheus file with the registry's series and the phase metrics, the
+// summary table, and an error for a path that cannot be created.
+func TestObserverExport(t *testing.T) {
+	o := NewObserver(NewFrozen(time.Unix(0, 0)))
+	sp := o.Trace.Start("apxfgs")
+	sp.Child("select").End()
+	sp.End()
+	o.Reg.Add("fgs_test_total", "A test counter.", nil, 3)
+
+	dir := t.TempDir()
+	tracePath, metricsPath := filepath.Join(dir, "trace.json"), filepath.Join(dir, "metrics.txt")
+	var table bytes.Buffer
+	if err := o.Export(tracePath, metricsPath, &table); err != nil {
+		t.Fatal(err)
+	}
+	for path, wants := range map[string][]string{
+		tracePath:   {`"name":"select"`},
+		metricsPath: {"fgs_test_total 3", `fgs_phase_spans_total{phase="select"} 1`},
+	} {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, want := range wants {
+			if !strings.Contains(string(data), want) {
+				t.Errorf("%s missing %q:\n%s", filepath.Base(path), want, data)
+			}
+		}
+	}
+	if !strings.Contains(table.String(), "fgs_test_total") {
+		t.Errorf("summary table missing the counter:\n%s", table.String())
+	}
+	if err := o.Export(filepath.Join(dir, "missing", "trace.json"), "", nil); err == nil {
+		t.Error("Export into a missing directory succeeded")
 	}
 }

@@ -258,16 +258,11 @@ type healthResponse struct {
 	Status string `json:"status"`
 }
 
-// handleMetrics renders the Prometheus exposition: the engine counters
-// (cache, admission, per-endpoint latency) plus phase metrics from the
-// trace when one is attached.
+// handleMetrics renders the Prometheus exposition of the registry: the
+// engine counters (cache, admission, per-endpoint latency, request stages).
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	ms := s.reg.Gather()
-	if s.tr != nil {
-		ms = obs.MergeMetrics(append(ms, obs.PhaseMetrics(s.tr)...))
-	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	if err := obs.WritePrometheus(w, ms); err != nil {
+	if err := obs.WritePrometheus(w, s.reg.Gather()); err != nil {
 		// Headers are gone; all we can do is log-level reporting via the
 		// error counter (instrument sees 200 — the body is already partial).
 		_ = err

@@ -274,7 +274,7 @@ func TestViewSetWriterWaitsAtCap(t *testing.T) {
 
 func mustUtility(t *testing.T, g *graph.Graph, spec string) submod.Utility {
 	t.Helper()
-	u, err := buildUtility(g, spec)
+	u, err := submod.ParseUtility(g, spec)
 	if err != nil {
 		t.Fatal(err)
 	}

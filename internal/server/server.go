@@ -87,9 +87,9 @@ type Config struct {
 	// when the pool is exhausted the writer waits for a reader to release a
 	// view. 0 picks the default (3).
 	MaxViews int
-	// Obs receives request spans (when it carries a trace), per-endpoint
-	// latency histograms, and cache/admission counters. Nil installs a
-	// private registry so /metrics works regardless.
+	// Obs receives the maintainer's phase spans (when it carries a trace),
+	// per-endpoint latency histograms, and cache/admission counters. Nil
+	// installs a private registry so /metrics works regardless.
 	Obs *obs.Observer
 	// DisableTracing turns off request-scoped tracing: no trace IDs, no
 	// X-Fgs-Trace/Server-Timing headers, no stage histograms, no flight
@@ -207,7 +207,6 @@ type Server struct {
 	cache    *resultCache
 	adm      *admission
 	clock    obs.Clock
-	tr       *obs.Trace // nil unless the observer carries one
 	reg      *obs.Registry
 	http     *obs.EndpointStats
 	draining atomic.Bool
@@ -246,7 +245,7 @@ func New(g *graph.Graph, groups *submod.Groups, cfg Config) (*Server, error) {
 	if cfg.ReadMode != "" && cfg.ReadMode != ReadModeMVCC {
 		return nil, fmt.Errorf("server: unknown read mode %q (have %q)", cfg.ReadMode, ReadModeMVCC)
 	}
-	util, err := buildUtility(g, cfg.Utility)
+	util, err := submod.ParseUtility(g, cfg.Utility)
 	if err != nil {
 		return nil, fmt.Errorf("server: %w", err)
 	}
@@ -261,7 +260,6 @@ func New(g *graph.Graph, groups *submod.Groups, cfg Config) (*Server, error) {
 		cache:  newResultCache(cfg.CacheEntries),
 		adm:    newAdmission(maxInt(1, cfg.Workers), cfg.QueueDepth),
 		clock:  cfg.Obs.GetClock(),
-		tr:     cfg.Obs.GetTrace(),
 		reg:    reg,
 		http:   obs.NewEndpointStats(),
 		log:    cfg.Log,
@@ -427,7 +425,7 @@ func (s *Server) acquireRead(rt *obs.ReqTrace) readCtx {
 func (s *Server) computeSummarize(rt *obs.ReqTrace, req *SummarizeRequest, k bool) (*SummarizeResponse, uint64, error) {
 	rc := s.acquireRead(rt)
 	defer rc.release()
-	util, err := buildUtility(rc.g, req.Utility)
+	util, err := submod.ParseUtility(rc.g, req.Utility)
 	if err != nil {
 		return nil, 0, &requestError{err}
 	}
@@ -637,28 +635,5 @@ func summaryStatsOf(sum *core.Summary) SummaryStats {
 		Corrections: sum.Corrections.Len(),
 		CL:          sum.CL,
 		Utility:     sum.Utility,
-	}
-}
-
-// buildUtility constructs a utility from its CLI spec against g.
-func buildUtility(g *graph.Graph, spec string) (submod.Utility, error) {
-	kind, arg, _ := strings.Cut(spec, ":")
-	switch kind {
-	case "", "coverage":
-		return submod.NewNeighborCoverage(g, submod.NeighborsIn, arg), nil
-	case "rating":
-		if arg == "" {
-			arg = "rating"
-		}
-		return submod.NewRatingSum(g, arg), nil
-	case "diversity":
-		if arg == "" {
-			return nil, fmt.Errorf("utility %q needs an attribute: diversity:<attr>", spec)
-		}
-		return submod.NewAttributeDiversity(g, arg), nil
-	case "cardinality":
-		return submod.NewCardinality(), nil
-	default:
-		return nil, fmt.Errorf("unknown utility %q (have coverage[:edgelabel], rating[:attr], diversity:attr, cardinality)", spec)
 	}
 }

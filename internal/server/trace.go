@@ -40,9 +40,7 @@ func (w *statusWriter) WriteHeader(code int) {
 }
 
 // instrument wraps a handler with the observability shell: the request
-// trace (ID propagation, stage timings, flight recorder), the process-level
-// span (only when the observer carries a trace — an always-on span log
-// would grow without bound over a server's lifetime), the per-endpoint
+// trace (ID propagation, stage timings, flight recorder), the per-endpoint
 // latency histogram, and a recover barrier that turns an escaped panic into
 // a 500 so one poisoned request cannot take the process down.
 func (s *Server) instrument(endpoint string, h http.HandlerFunc) http.HandlerFunc {
@@ -58,7 +56,6 @@ func (s *Server) instrument(endpoint string, h http.HandlerFunc) http.HandlerFun
 			w.Header().Set("X-Fgs-Trace", tid.String())
 			r = r.WithContext(obs.WithReqTrace(r.Context(), rt))
 		}
-		sp := s.tr.Start("http." + endpoint)
 		start := s.clock.Now()
 		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK, rt: rt}
 		defer func() {
@@ -68,8 +65,6 @@ func (s *Server) instrument(endpoint string, h http.HandlerFunc) http.HandlerFun
 			}
 			total := s.clock.Now().Sub(start)
 			s.http.Observe(endpoint, total, sw.status >= 500)
-			sp.SetArg("status", int64(sw.status))
-			sp.End()
 			s.finishTrace(rt, endpoint, sw.status, total)
 		}()
 		h(sw, r)

@@ -348,3 +348,26 @@ func TestStageMetricsExported(t *testing.T) {
 		}
 	}
 }
+
+// TestRequestsAddNoSpans pins that a request's timing is recorded once, in
+// the endpoint series and its request trace: with an observer attached,
+// requests add nothing to the observer's trace, and /metrics still serves
+// the per-endpoint series.
+func TestRequestsAddNoSpans(t *testing.T) {
+	leakcheck.Check(t)
+	o := obs.NewObserver(nil)
+	_, ts := newTestServer(t, Config{Obs: o})
+	before := o.Trace.Len()
+	for i := 0; i < 50; i++ {
+		resp, body := get(t, ts, "/v1/stats")
+		wantStatus(t, resp, body, http.StatusOK)
+	}
+	if got := o.Trace.Len(); got != before {
+		t.Fatalf("50 stats requests grew the trace from %d to %d records", before, got)
+	}
+	resp, body := get(t, ts, "/metrics")
+	wantStatus(t, resp, body, http.StatusOK)
+	if want := `fgs_http_requests_total{endpoint="stats"} 50`; !strings.Contains(string(body), want) {
+		t.Fatalf("/metrics missing %q:\n%s", want, body)
+	}
+}

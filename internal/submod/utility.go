@@ -1,7 +1,9 @@
 package submod
 
 import (
+	"fmt"
 	"strconv"
+	"strings"
 
 	"github.com/cwru-db/fgs/internal/graph"
 )
@@ -285,3 +287,29 @@ func (c *Cardinality) Reset() { c.cur = graph.NewNodeSet(0) }
 
 // Clone implements Utility.
 func (c *Cardinality) Clone() Utility { return NewCardinality() }
+
+// ParseUtility builds a utility over g from its spec, as fgs -utility and
+// fgsd's config and requests name it: coverage[:edgelabel] (in-neighbor
+// coverage, optionally counting one edge label; "" means coverage),
+// rating[:attr] (attr defaults to "rating"), diversity:attr, or cardinality.
+func ParseUtility(g *graph.Graph, spec string) (Utility, error) {
+	kind, arg, _ := strings.Cut(spec, ":")
+	switch kind {
+	case "", "coverage":
+		return NewNeighborCoverage(g, NeighborsIn, arg), nil
+	case "rating":
+		if arg == "" {
+			arg = "rating"
+		}
+		return NewRatingSum(g, arg), nil
+	case "diversity":
+		if arg == "" {
+			return nil, fmt.Errorf("utility %q needs an attribute: diversity:<attr>", spec)
+		}
+		return NewAttributeDiversity(g, arg), nil
+	case "cardinality":
+		return NewCardinality(), nil
+	default:
+		return nil, fmt.Errorf("unknown utility %q (have coverage[:edgelabel], rating[:attr], diversity:attr, cardinality)", spec)
+	}
+}

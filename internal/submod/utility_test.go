@@ -249,3 +249,49 @@ func TestEvalIsStateless(t *testing.T) {
 		t.Fatal("Eval should leave the utility reset")
 	}
 }
+
+// TestParseUtility checks each spec builds the utility it names: a marginal
+// on one node tells coverage (all in-edges or one label), rating (the
+// attribute read) and the rest apart.
+func TestParseUtility(t *testing.T) {
+	g := graph.New()
+	v := g.AddNode("user", map[string]string{"rating": "2", "score": "5", "industry": "Internet"})
+	rec := g.AddNode("user", nil)
+	fol := g.AddNode("user", nil)
+	if err := g.AddEdge(rec, v, "recommend"); err != nil {
+		t.Fatal(err)
+	}
+	if err := g.AddEdge(fol, v, "follow"); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		spec    string
+		want    float64
+		wantErr bool
+	}{
+		{spec: "coverage", want: 2},
+		{spec: "coverage:recommend", want: 1},
+		{spec: "rating", want: 2},
+		{spec: "rating:score", want: 5},
+		{spec: "diversity", wantErr: true},
+		{spec: "diversity:industry", want: 1},
+		{spec: "cardinality", want: 1},
+		{spec: "", want: 2},
+		{spec: "bogus", wantErr: true},
+	} {
+		u, err := ParseUtility(g, tc.spec)
+		if tc.wantErr {
+			if err == nil {
+				t.Errorf("ParseUtility(%q) = %T, want an error", tc.spec, u)
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("ParseUtility(%q): %v", tc.spec, err)
+			continue
+		}
+		if got := u.Marginal(v); got != tc.want {
+			t.Errorf("ParseUtility(%q) marginal = %v, want %v", tc.spec, got, tc.want)
+		}
+	}
+}

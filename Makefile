@@ -14,9 +14,9 @@ test:
 # the parallel scoring pipeline, the sharded E_v^r cache, the matcher
 # fan-out, the observability collectors (incl. the request tracer and flight
 # recorder), the graph reads they all share, the serving engine's
-# single-writer/many-reader paths, fgstore's group-commit flusher and
-# snapshot writer, and fgsbench's workload driver (client and writer
-# goroutines sharing an in-flight counter, a stop flag and the heap sampler).
+# single-writer/many-reader paths, fgstore's background snapshot writer,
+# and fgsbench's workload driver (client and writer goroutines sharing an
+# in-flight counter, a stop flag and the heap sampler).
 race:
 	$(GO) test -race ./internal/mining/ ./internal/pattern/ ./internal/core/ ./internal/graph/ ./internal/obs/ ./internal/server/ ./internal/store/ ./cmd/fgsbench/
 

@@ -67,7 +67,7 @@ func main() {
 		drainFor  = flag.Duration("drain-timeout", 30*time.Second, "max time to wait for in-flight requests on shutdown")
 
 		dataDir   = flag.String("data-dir", "", "fgstore data directory for WAL + snapshots (empty = in-memory only, state lost on exit)")
-		fsyncPol  = flag.String("fsync", "group", "WAL durability: batch (sync per update), group (group-commit window), off")
+		fsyncPol  = flag.String("fsync", "batch", "WAL durability: batch (sync each update before acknowledging it) or off (no sync on the append path)")
 		snapEvery = flag.Int("snapshot-every", 256, "snapshot after this many graph-changing batches (0 = only on drain)")
 		walSegMB  = flag.Int("wal-segment-mb", 64, "WAL segment size before rolling, in MiB")
 

@@ -114,8 +114,8 @@ type Config struct {
 	FlightDump io.Writer
 	// Store, when non-nil, is the open fgstore (internal/store) the engine
 	// makes itself durable in: every applied update batch is appended to its
-	// WAL before the response is acknowledged, and the engine snapshots into
-	// it periodically and on drain (FinalSnapshot).
+	// WAL before it is published or acknowledged, and the engine snapshots
+	// into it periodically and on drain (FinalSnapshot).
 	Store *store.Store
 	// Resume carries what Store recovered at open. Nil (or Fresh) boots the
 	// engine from the given graph and seals the initial state with a
@@ -487,9 +487,10 @@ func (s *Server) computeWorkload(rt *obs.ReqTrace, req *WorkloadRequest) (*Workl
 
 // computeUpdate applies one write batch through the maintainer under the
 // write lock and advances the epoch iff the graph changed. A graph-changing
-// batch publishes the new epoch's view: replay of the same delta onto a
-// pooled replica plus a pointer swap, after which newly arriving readers see
-// the new epoch while readers already pinned keep their old one.
+// batch is logged first (with a store), then publishes the new epoch's view:
+// replay of the same delta onto a pooled replica plus a pointer swap, after
+// which newly arriving readers see the new epoch while readers already
+// pinned keep their old one.
 func (s *Server) computeUpdate(rt *obs.ReqTrace, req *UpdateRequest) (*UpdateResponse, error) {
 	delta := core.Delta{}
 	for _, e := range req.Insert {
@@ -502,22 +503,24 @@ func (s *Server) computeUpdate(rt *obs.ReqTrace, req *UpdateRequest) (*UpdateRes
 	defer s.mu.Unlock()
 	sum, applied, err := s.maint.Apply(delta)
 	if applied > 0 {
-		epoch := s.epoch.Add(1)
-		s.views.publish(delta, epoch, sum)
+		epoch := s.epoch.Load() + 1
 		if s.store != nil {
 			// Log the batch exactly as requested — replay re-applies it
 			// through the same Apply path, where per-edge failures repeat
-			// deterministically. The response is not acknowledged until the
-			// record is durable per the fsync policy; an append failure is
-			// fatal for the write path (the WAL error is sticky), so report
-			// 500 rather than acknowledging a batch that will not survive a
-			// restart.
+			// deterministically — before anyone can see it. The response is
+			// not acknowledged until the record is durable per the fsync
+			// policy. An append failure is fatal for the write path (the WAL
+			// error is sticky, and the store then refuses snapshots), so
+			// report 500 and leave the epoch unpublished rather than serve a
+			// batch that will not survive a restart.
 			if werr := s.store.Append(store.Record{Epoch: epoch, Delta: delta}); werr != nil {
 				s.log.Error("wal append failed", "epoch", epoch, "err", werr)
 				return nil, werr
 			}
-			s.maybeSnapshotLocked(epoch)
 		}
+		s.epoch.Store(epoch)
+		s.views.publish(delta, epoch, sum)
+		s.maybeSnapshotLocked(epoch)
 		s.log.Info("publish",
 			"epoch", epoch,
 			"applied", applied,
@@ -540,8 +543,8 @@ func (s *Server) computeUpdate(rt *obs.ReqTrace, req *UpdateRequest) (*UpdateRes
 	return resp, nil
 }
 
-// maybeSnapshotLocked counts a graph-changing batch and, every
-// SnapshotEvery of them, snapshots the engine at the just-published epoch.
+// maybeSnapshotLocked counts a graph-changing batch and, with a store, every
+// SnapshotEvery of them snapshots the engine at the just-published epoch.
 // Caller holds the write lock, where the maintainer checkpoint is cheap and
 // consistent with the epoch. The expensive part — streaming the graph
 // image — runs off the write path against the pinned epoch view (its
@@ -550,7 +553,7 @@ func (s *Server) computeUpdate(rt *obs.ReqTrace, req *UpdateRequest) (*UpdateRes
 // retries.
 func (s *Server) maybeSnapshotLocked(epoch uint64) {
 	s.sinceSnap++
-	if s.cfg.SnapshotEvery <= 0 || s.sinceSnap < s.cfg.SnapshotEvery {
+	if s.store == nil || s.cfg.SnapshotEvery <= 0 || s.sinceSnap < s.cfg.SnapshotEvery {
 		return
 	}
 	st, err := s.maint.Checkpoint()

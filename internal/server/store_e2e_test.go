@@ -16,13 +16,13 @@ import (
 )
 
 // newDurableServer boots a server over the data directory, resuming from
-// whatever the store recovered — the same dance cmd/fgsd does. FsyncBatch
-// keeps the WAL flusher goroutine out of the picture (leakcheck) and makes
-// every acknowledged batch durable immediately, so "crash" in these tests
-// is simply: close without a final snapshot.
+// whatever the store recovered — the same dance cmd/fgsd does, with fgsd's
+// default fsync policy. That policy makes every acknowledged batch durable
+// before the ack, so "crash" in these tests is simply: close without a
+// final snapshot.
 func newDurableServer(t testing.TB, dir string, snapEvery int, cfg Config) (*Server, *httptest.Server, *store.Store) {
 	t.Helper()
-	st, rec, err := store.Open(store.Options{Dir: dir, Fsync: store.FsyncBatch})
+	st, rec, err := store.Open(store.Options{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -362,5 +362,50 @@ func TestStoreSnapshotCadenceAndDrain(t *testing.T) {
 	ts2.Close()
 	if err := st2.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestStoreFailedAppendNotPublished: a batch the WAL refuses is answered
+// 500 and never becomes visible — not to readers, not to a drain snapshot,
+// not to the next boot — so a failed write cannot surface later as a
+// silently different answer.
+func TestStoreFailedAppendNotPublished(t *testing.T) {
+	leakcheck.Check(t)
+	dir := t.TempDir()
+	s1, ts1, st1 := newDurableServer(t, dir, 100, Config{})
+	for _, u := range durableUpdates(2) {
+		resp, body := post(t, ts1, "/v1/update", u)
+		wantStatus(t, resp, body, 200)
+	}
+	before, readsBefore := fetchState(t, ts1)
+	if before.Epoch != 2 {
+		t.Fatalf("epoch %d after two updates, want 2", before.Epoch)
+	}
+	// A closed WAL refuses every append, as a failed one does.
+	if err := st1.Close(); err != nil {
+		t.Fatal(err)
+	}
+	resp, body := post(t, ts1, "/v1/update", `{"insert":[{"from":4,"to":19,"label":"lost"}]}`)
+	wantStatus(t, resp, body, 500)
+	if got, _ := fetchState(t, ts1); !reflect.DeepEqual(got, before) {
+		t.Fatalf("refused batch published:\n got %+v\nwant %+v", got, before)
+	}
+	s1.StartDrain()
+	ts1.Close()
+	if err := s1.FinalSnapshot(); err == nil {
+		t.Fatal("drain snapshot sealed state holding a batch the WAL refused")
+	}
+
+	_, ts2, st2 := newDurableServer(t, dir, 100, Config{})
+	defer st2.Close() //lint:allow errdrop (test teardown)
+	defer ts2.Close()
+	after, readsAfter := fetchState(t, ts2)
+	if !reflect.DeepEqual(after, before) {
+		t.Fatalf("recovery diverges from the last acknowledged state:\n got %+v\nwant %+v", after, before)
+	}
+	for name := range readsBefore {
+		if !bytes.Equal(readsAfter[name], readsBefore[name]) {
+			t.Errorf("%s body diverges after recovery:\n got %s\nwant %s", name, readsAfter[name], readsBefore[name])
+		}
 	}
 }

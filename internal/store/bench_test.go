@@ -23,10 +23,10 @@ func benchRecord(epoch uint64) Record {
 
 // BenchmarkWALAppend measures the durable-append path per fsync policy: the
 // full cost of logging one applied batch, including the policy's sync wait.
-// The group/batch numbers are dominated by fsync latency of the benchmark
-// machine's filesystem, which is the point.
+// The batch number is dominated by fsync latency of the benchmark machine's
+// filesystem, which is the point.
 func BenchmarkWALAppend(b *testing.B) {
-	for _, policy := range []string{FsyncOff, FsyncGroup, FsyncBatch} {
+	for _, policy := range []string{FsyncOff, FsyncBatch} {
 		b.Run(policy, func(b *testing.B) {
 			g, ms := testImage(b)
 			st, _ := openStore(b, Options{Dir: b.TempDir(), Fsync: policy})

@@ -24,24 +24,19 @@ import (
 	"path/filepath"
 	"strings"
 	"sync/atomic"
-	"time"
 
 	"github.com/cwru-db/fgs/internal/core"
 	"github.com/cwru-db/fgs/internal/graph"
 	"github.com/cwru-db/fgs/internal/obs"
 )
 
-// Fsync policies for Options.Fsync.
+// Fsync policies for Options.Fsync. There is no group commit: the engine
+// appends under its write lock, one record at a time, so a flush window could
+// only delay the one record it covers.
 const (
-	// FsyncBatch syncs inside every Append: a positive reply means the batch
-	// is on disk. Strongest, slowest.
+	// FsyncBatch (the default) syncs inside every Append: a positive reply
+	// means the batch is on disk.
 	FsyncBatch = "batch"
-	// FsyncGroup (the default) batches syncs in a small flush window:
-	// Append waits until a background fsync covers its record, amortizing
-	// the sync across concurrent batches. Same durability guarantee as
-	// "batch" — no Append returns before its record is on disk — at a
-	// fraction of the per-batch cost under load.
-	FsyncGroup = "group"
 	// FsyncOff never syncs on the append path (the OS flushes eventually;
 	// Close and segment rolls still sync). A crash can lose the most recent
 	// acknowledged batches. Fastest; for bulk loads and benchmarks.
@@ -55,11 +50,8 @@ const manifestName = "MANIFEST"
 type Options struct {
 	// Dir is the data directory; created if missing.
 	Dir string
-	// Fsync is the WAL durability policy: FsyncBatch, FsyncGroup (default),
-	// or FsyncOff.
+	// Fsync is the WAL durability policy: FsyncBatch (default) or FsyncOff.
 	Fsync string
-	// GroupWindow is the group-commit flush interval (default 2ms).
-	GroupWindow time.Duration
 	// SegmentBytes caps a WAL segment before it rolls (default 64 MiB).
 	SegmentBytes int64
 	// Log receives boot/recovery lines; nil discards.
@@ -72,13 +64,10 @@ type Options struct {
 func (o Options) withDefaults() (Options, error) {
 	switch o.Fsync {
 	case "":
-		o.Fsync = FsyncGroup
-	case FsyncBatch, FsyncGroup, FsyncOff:
+		o.Fsync = FsyncBatch
+	case FsyncBatch, FsyncOff:
 	default:
-		return o, fmt.Errorf("store: unknown fsync policy %q (have %q, %q, %q)", o.Fsync, FsyncBatch, FsyncGroup, FsyncOff)
-	}
-	if o.GroupWindow <= 0 {
-		o.GroupWindow = 2 * time.Millisecond
+		return o, fmt.Errorf("store: unknown fsync policy %q (have %q, %q)", o.Fsync, FsyncBatch, FsyncOff)
 	}
 	if o.SegmentBytes <= 0 {
 		o.SegmentBytes = 64 << 20
@@ -167,7 +156,7 @@ func Open(opts Options) (*Store, *Recovered, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	s.wal = newWAL(opts.Dir, opts.Fsync, opts.GroupWindow, opts.SegmentBytes, opts.Clock)
+	s.wal = &wal{dir: opts.Dir, policy: opts.Fsync, segBytes: opts.SegmentBytes, clock: opts.Clock}
 	s.wal.segments.Set(int64(rec.Segments))
 	s.replayRecs.Set(int64(len(rec.Tail)))
 	s.replayBytes.Set(rec.TailBytes)
@@ -305,15 +294,21 @@ func (s *Store) replayTail(rec *Recovered) error {
 
 // Append logs one applied batch. It returns once the record is durable per
 // the configured fsync policy. An error means the log can no longer accept
-// writes (sticky); the caller must stop acknowledging batches.
+// writes (sticky): the caller must neither acknowledge nor publish the
+// batch, and BeginSnapshot refuses from then on.
 func (s *Store) Append(rec Record) error {
 	return s.wal.append(appendRecord(nil, rec), rec.Epoch)
 }
 
 // BeginSnapshot starts writing the snapshot at the given epoch. The caller
 // streams the body (WriteGraph, WriteState) and must finish with exactly
-// one of Commit or Abort. One snapshot may be in flight at a time.
+// one of Commit or Abort. One snapshot may be in flight at a time. Once an
+// append has failed, or the log is closed, it refuses: the caller's state
+// may hold a batch the log never took, and no snapshot may seal it.
 func (s *Store) BeginSnapshot(epoch uint64) (*Snapshot, error) {
+	if err := s.wal.usable(); err != nil {
+		return nil, fmt.Errorf("store: begin snapshot: %w", err)
+	}
 	if !s.snapInFlight.CompareAndSwap(false, true) {
 		return nil, errors.New("store: snapshot already in flight")
 	}

@@ -5,6 +5,8 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
+	"strings"
 	"testing"
 
 	"github.com/cwru-db/fgs/internal/core"
@@ -119,7 +121,7 @@ func sameTail(t testing.TB, got, want []Record) {
 // append, close, reopen — the second open must return the identical graph
 // bytes, the identical checkpoint, and the full tail in epoch order.
 func TestRecoverSnapshotAndTail(t *testing.T) {
-	for _, policy := range []string{FsyncBatch, FsyncGroup, FsyncOff} {
+	for _, policy := range []string{FsyncBatch, FsyncOff} {
 		t.Run(policy, func(t *testing.T) {
 			dir, g, ms, recs := seedStore(t, Options{Fsync: policy}, 5)
 			st, rec := openStore(t, Options{Dir: dir, Fsync: policy})
@@ -397,10 +399,13 @@ func TestEpochGapFails(t *testing.T) {
 	}
 }
 
-// TestBadFsyncPolicy pins the options validation.
+// TestBadFsyncPolicy pins the options validation. "group" is refused like
+// any unknown policy: there is no group commit.
 func TestBadFsyncPolicy(t *testing.T) {
-	if _, _, err := Open(Options{Dir: t.TempDir(), Fsync: "yolo"}); err == nil {
-		t.Fatal("unknown fsync policy accepted")
+	for _, policy := range []string{"yolo", "group"} {
+		if _, _, err := Open(Options{Dir: t.TempDir(), Fsync: policy}); err == nil {
+			t.Fatalf("unknown fsync policy %q accepted", policy)
+		}
 	}
 	if _, _, err := Open(Options{}); err == nil {
 		t.Fatal("empty data dir accepted")
@@ -428,5 +433,77 @@ func TestObsMetrics(t *testing.T) {
 	}
 	if vals["fgs_store_recovery_replayed_records"] != 3 {
 		t.Fatalf("replay gauge %v", vals["fgs_store_recovery_replayed_records"])
+	}
+}
+
+// metricValues reads the store's exported instruments by name.
+func metricValues(st *Store) map[string]float64 {
+	vals := map[string]float64{}
+	for _, m := range st.ObsMetrics() {
+		vals[m.Name] = m.Value
+	}
+	return vals
+}
+
+// storeGoroutines returns the stacks of the live goroutines, other than the
+// caller, that run fgstore code.
+func storeGoroutines() []string {
+	buf := make([]byte, 1<<20)
+	var out []string
+	for i, g := range strings.Split(string(buf[:runtime.Stack(buf, true)]), "\n\n") {
+		if i > 0 && strings.Contains(g, "/internal/store.") { // the caller's stack comes first
+			out = append(out, g)
+		}
+	}
+	return out
+}
+
+// TestOpenStartsNoGoroutine: appends sync inline, so an open store with the
+// default options runs no goroutine of its own.
+func TestOpenStartsNoGoroutine(t *testing.T) {
+	before := storeGoroutines()
+	st, _ := openStore(t, Options{Dir: t.TempDir()})
+	defer st.Close() //lint:allow errdrop (test teardown)
+	if during := storeGoroutines(); len(during) > len(before) {
+		t.Fatalf("open store runs %d goroutines, %d before Open:\n%s",
+			len(during), len(before), strings.Join(during, "\n\n"))
+	}
+}
+
+// TestDefaultAppendSyncs: under the default policy every Append returns
+// with its record synced — one fsync per append, none deferred.
+func TestDefaultAppendSyncs(t *testing.T) {
+	st, _ := openStore(t, Options{Dir: t.TempDir()})
+	defer st.Close() //lint:allow errdrop (test teardown)
+	for i := 1; i <= 4; i++ {
+		if err := st.Append(benchRecord(uint64(i))); err != nil {
+			t.Fatal(err)
+		}
+		vals := metricValues(st)
+		if vals["fgs_store_wal_appends_total"] != float64(i) || vals["fgs_store_wal_fsyncs_total"] != float64(i) {
+			t.Fatalf("after append %d: %v appends, %v fsyncs", i,
+				vals["fgs_store_wal_appends_total"], vals["fgs_store_wal_fsyncs_total"])
+		}
+	}
+}
+
+// TestOffRollSyncs: FsyncOff skips the per-append sync, but each roll still
+// seals the segment it closes — an unsynced rolled segment could be torn by
+// a crash, and recovery refuses a torn non-final segment.
+func TestOffRollSyncs(t *testing.T) {
+	st, _ := openStore(t, Options{Dir: t.TempDir(), Fsync: FsyncOff, SegmentBytes: 32})
+	defer st.Close() //lint:allow errdrop (test teardown)
+	for i := 1; i <= 4; i++ {
+		if err := st.Append(benchRecord(uint64(i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	vals := metricValues(st)
+	rolls := vals["fgs_store_wal_segments"] - 1
+	if rolls < 1 {
+		t.Fatalf("32-byte cap left %v segments; the test needs a roll", vals["fgs_store_wal_segments"])
+	}
+	if vals["fgs_store_wal_fsyncs_total"] != rolls {
+		t.Fatalf("%v rolls under FsyncOff made %v fsyncs, want one per roll", rolls, vals["fgs_store_wal_fsyncs_total"])
 	}
 }

@@ -11,7 +11,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"time"
 
 	"github.com/cwru-db/fgs/internal/core"
 	"github.com/cwru-db/fgs/internal/graph"
@@ -229,30 +228,22 @@ func listSegments(dir string) ([]string, error) {
 // --- the appender --------------------------------------------------------
 
 // wal is the append side of the log: one active segment file, a sticky
-// error, and the fsync machinery for the three durability policies. All
-// fields behind mu; the group-commit flusher is the only other goroutine.
+// error, and the fsync policy. All fields behind mu.
 type wal struct {
 	dir      string
 	policy   string
-	window   time.Duration
 	segBytes int64
 	clock    obs.Clock
 
 	mu   sync.Mutex
-	cond *sync.Cond // group mode: appenders wait for syncedSeq to cover them
-	f    *os.File   // active segment; nil until the first append
-	size int64      // bytes written to the active segment
-	err  error      // sticky: first write/sync failure; the log is dead after
+	f    *os.File // active segment; nil until the first append
+	size int64    // bytes written to the active segment
+	err  error    // sticky: first write/sync failure; the log is dead after
 	// rollNext forces the next append into a fresh segment regardless of
 	// size — set after a snapshot commit so the pre-snapshot segment becomes
 	// collectable at the next commit.
-	rollNext  bool
-	appendSeq int64 // appends issued
-	syncedSeq int64 // appends covered by a completed fsync
-	closed    bool
-
-	stop chan struct{} // closes the flusher
-	done chan struct{} // flusher exited
+	rollNext bool
+	closed   bool
 
 	// Instruments (read by Store.ObsMetrics).
 	appends  obs.Counter
@@ -260,17 +251,6 @@ type wal struct {
 	fsyncs   obs.Counter
 	fsyncUs  obs.Histogram
 	segments obs.Gauge
-}
-
-func newWAL(dir, policy string, window time.Duration, segBytes int64, clock obs.Clock) *wal {
-	w := &wal{dir: dir, policy: policy, window: window, segBytes: segBytes, clock: clock}
-	w.cond = sync.NewCond(&w.mu)
-	if policy == FsyncGroup {
-		w.stop = make(chan struct{})
-		w.done = make(chan struct{})
-		go w.flushLoop()
-	}
-	return w
 }
 
 // reopen resumes appending to an existing segment (recovery found it intact
@@ -286,17 +266,31 @@ func (w *wal) reopen(name string, size int64) error {
 	return nil
 }
 
-// append writes one encoded record, honoring the fsync policy before
-// returning: per-batch sync, group-commit wait, or fire-and-forget. firstE
-// names the segment if this append opens one.
-func (w *wal) append(encoded []byte, firstE uint64) error {
+// usable reports why the log accepts no more records — its sticky error, or
+// that it is closed — or nil while it still does.
+func (w *wal) usable() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
+	return w.usableLocked()
+}
+
+func (w *wal) usableLocked() error {
 	if w.err != nil {
 		return w.err
 	}
 	if w.closed {
 		return errors.New("store: WAL is closed")
+	}
+	return nil
+}
+
+// append writes one encoded record and, under FsyncBatch, syncs it before
+// returning. firstE names the segment if this append opens one.
+func (w *wal) append(encoded []byte, firstE uint64) error {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if err := w.usableLocked(); err != nil {
+		return err
 	}
 	if w.f == nil || w.rollNext || (w.size+int64(len(encoded)) > w.segBytes && w.size > int64(len(walMagic))) {
 		if err := w.rollLocked(firstE); err != nil {
@@ -308,32 +302,21 @@ func (w *wal) append(encoded []byte, firstE uint64) error {
 		return w.err
 	}
 	w.size += int64(len(encoded))
-	w.appendSeq++
 	w.appends.Inc()
 	w.bytes.Add(int64(len(encoded)))
-	switch w.policy {
-	case FsyncBatch:
+	if w.policy == FsyncBatch {
 		w.syncLocked()
-		return w.err
-	case FsyncGroup:
-		seq := w.appendSeq
-		for w.syncedSeq < seq && w.err == nil {
-			w.cond.Wait()
-		}
-		return w.err
-	default: // FsyncOff
-		return nil
 	}
+	return w.err
 }
 
-// rollLocked closes the active segment (after syncing it — records must not
-// lose durability by being last in a rolled file) and opens a fresh one
-// whose first record will be at epoch firstE.
+// rollLocked closes the active segment (after syncing it, whatever the
+// policy — an unsynced rolled segment could be torn by a crash, and a torn
+// non-final segment fails recovery) and opens a fresh one whose first
+// record will be at epoch firstE.
 func (w *wal) rollLocked(firstE uint64) error {
 	if w.f != nil {
-		if w.policy != FsyncOff {
-			w.syncLocked()
-		}
+		w.syncLocked()
 		if err := w.f.Close(); err != nil && w.err == nil {
 			w.fail(err)
 		}
@@ -357,10 +340,8 @@ func (w *wal) rollLocked(firstE uint64) error {
 	return nil
 }
 
-// syncLocked fsyncs the active segment under mu, marking every append so
-// far durable. Batch mode calls it inline; roll and close call it to seal a
-// segment. Group mode's steady-state syncs happen in flushLoop instead,
-// off-lock, so appends queue behind a memcpy rather than an fsync.
+// syncLocked fsyncs the active segment under mu: per append under
+// FsyncBatch, and to seal a segment on roll and close.
 func (w *wal) syncLocked() {
 	if w.f == nil || w.err != nil {
 		return
@@ -371,71 +352,19 @@ func (w *wal) syncLocked() {
 	w.fsyncUs.Observe(w.clock.Now().Sub(start).Microseconds())
 	if err != nil {
 		w.fail(err)
-		return
-	}
-	if w.syncedSeq < w.appendSeq {
-		w.syncedSeq = w.appendSeq
-		w.cond.Broadcast()
 	}
 }
 
-// flushLoop is the group-commit flusher: every window it syncs the active
-// segment once, covering every append issued before the sync started, and
-// wakes the appenders waiting on it. The fsync itself runs off-lock.
-func (w *wal) flushLoop() {
-	defer close(w.done)
-	tick := time.NewTicker(w.window)
-	defer tick.Stop()
-	for {
-		select {
-		case <-w.stop:
-			return
-		case <-tick.C:
-		}
-		w.mu.Lock()
-		target, f := w.appendSeq, w.f
-		if target == w.syncedSeq || f == nil || w.err != nil {
-			w.mu.Unlock()
-			continue
-		}
-		w.mu.Unlock()
-		start := w.clock.Now()
-		err := f.Sync()
-		elapsed := w.clock.Now().Sub(start)
-		w.mu.Lock()
-		w.fsyncs.Inc()
-		w.fsyncUs.Observe(elapsed.Microseconds())
-		if err != nil {
-			// A roll can close f between the snapshot above and the Sync; the
-			// roll synced it first, so the records are durable and the error
-			// is benign. Anything else kills the log.
-			if !errors.Is(err, os.ErrClosed) {
-				w.fail(err)
-			}
-		} else if w.syncedSeq < target {
-			w.syncedSeq = target
-			w.cond.Broadcast()
-		}
-		w.mu.Unlock()
-	}
-}
-
-// fail records the sticky error and frees any waiting appenders. Callers
-// hold mu.
+// fail records the sticky error. Callers hold mu.
 func (w *wal) fail(err error) {
 	if w.err == nil {
 		w.err = fmt.Errorf("store: WAL failed: %w", err)
 	}
-	w.cond.Broadcast()
 }
 
-// close seals the log: stops the flusher, syncs (unless already failed),
-// and closes the segment.
+// close seals the log: syncs (unless already failed) and closes the
+// segment.
 func (w *wal) close() error {
-	if w.stop != nil {
-		close(w.stop)
-		<-w.done
-	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.closed {

@@ -64,11 +64,16 @@ type (
 	StoreRecovered = store.Recovered
 )
 
-// WAL fsync policies for StoreOptions.Fsync.
+// WAL fsync policies for StoreOptions.Fsync: FsyncBatch (the default) syncs
+// every batch before it is acknowledged, FsyncOff never syncs on the append
+// path.
 const (
 	FsyncBatch = store.FsyncBatch
-	FsyncGroup = store.FsyncGroup
 	FsyncOff   = store.FsyncOff
+
+	// Deprecated: group commit is gone. FsyncGroup equals FsyncBatch, the
+	// default, and is kept only so existing callers compile.
+	FsyncGroup = store.FsyncBatch
 )
 
 // OpenStore opens (creating if needed) an fgstore data directory and

@@ -70,9 +70,7 @@ func countCorrections(g *graph.Graph, patterns []*pattern.Pattern, covered []gra
 	described := graph.NewEdgeBits(g.EdgeIDBound())
 	for _, p := range patterns {
 		for _, v := range covered {
-			if es, ok := m.CoveredEdgeBitsAt(p, v); ok {
-				described.Union(es)
-			}
+			m.CoveredEdgeBitsAt(p, v, described)
 		}
 	}
 	return g.RHopEdgeBitsOf(covered, r).AndNotCount(described)

@@ -200,11 +200,9 @@ func (m *Maintainer) rescore(p *pattern.Pattern) PatternInfo {
 	covered := sortNodes(m.matcher.CoverAmong(p, m.sel.Selected()))
 	edges := graph.NewEdgeBits(m.g.EdgeIDBound())
 	for _, v := range covered {
-		if es, ok := m.matcher.CoveredEdgeBitsAt(p, v); ok {
-			edges.Union(es)
-		}
+		m.matcher.CoveredEdgeBitsAt(p, v, edges)
 	}
-	cp := m.er.UnionOf(covered).AndNotCount(edges)
+	cp := m.er.UnionAndNotCount(covered, edges)
 	return PatternInfo{P: p, Covered: covered, CoveredEdges: m.g.EdgeSetOf(edges), CP: cp}
 }
 

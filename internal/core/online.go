@@ -305,11 +305,9 @@ func (o *Online) rescoreAll() {
 		}
 		edges := graph.NewEdgeBits(o.g.EdgeIDBound())
 		for _, v := range covered {
-			if es, ok := m.CoveredEdgeBitsAt(pi.P, v); ok {
-				edges.Union(es)
-			}
+			m.CoveredEdgeBitsAt(pi.P, v, edges)
 		}
-		cp := o.er.UnionOf(covered).AndNotCount(edges)
+		cp := o.er.UnionAndNotCount(covered, edges)
 		kept = append(kept, PatternInfo{P: pi.P, Covered: covered, CoveredEdges: o.g.EdgeSetOf(edges), CP: cp})
 	}
 	o.patterns = kept

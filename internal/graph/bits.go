@@ -192,6 +192,43 @@ func (s *EdgeBits) IntersectAndNotCount(and, not *EdgeBits) int {
 	return s.b.intersectAndNotCount(&and.b, &not.b)
 }
 
+// UnionAndNotCount reports |(∪ sets) \ not| without materializing the
+// union: it gathers the union a block of unionBlock words at a time in a
+// stack buffer, so the sweep neither allocates nor writes a set as wide as
+// the largest operand.
+func UnionAndNotCount(sets []*EdgeBits, not *EdgeBits) int {
+	var acc [unionBlock]uint64
+	width := 0
+	for _, s := range sets {
+		width = max(width, len(s.b.words))
+	}
+	n := 0
+	for base := 0; base < width; base += unionBlock {
+		blk := acc[:min(unionBlock, width-base)]
+		clear(blk)
+		for _, s := range sets {
+			if ws := s.b.words; base < len(ws) {
+				for i, w := range ws[base:min(base+len(blk), len(ws))] {
+					blk[i] |= w
+				}
+			}
+		}
+		if ws := not.b.words; base < len(ws) {
+			for i, w := range ws[base:min(base+len(blk), len(ws))] {
+				blk[i] &^= w
+			}
+		}
+		for _, w := range blk {
+			n += bits.OnesCount64(w)
+		}
+	}
+	return n
+}
+
+// unionBlock is UnionAndNotCount's block size in words: 4 KiB, which stays
+// in L1 while every operand's block is folded in.
+const unionBlock = 512
+
 // Clone returns an independent copy.
 func (s *EdgeBits) Clone() *EdgeBits { return &EdgeBits{b: s.b.clone()} }
 

@@ -87,6 +87,17 @@ func (c *ErCache) UnionOf(nodes []graph.NodeID) *graph.EdgeBits {
 	return u
 }
 
+// UnionAndNotCount reports |E_X^r \ not| over a node set, what
+// UnionOf(nodes).AndNotCount(not) reports, without building the union. It
+// is the correction count C_P = |E^r_{P_V} \ P_E| of a scored pattern.
+func (c *ErCache) UnionAndNotCount(nodes []graph.NodeID, not *graph.EdgeBits) int {
+	sets := make([]*graph.EdgeBits, len(nodes))
+	for i, v := range nodes {
+		sets[i] = c.Get(v)
+	}
+	return graph.UnionAndNotCount(sets, not)
+}
+
 // Invalidate drops cached entries for the given nodes (used by Inc-FGS when
 // edge insertions change neighborhoods).
 func (c *ErCache) Invalidate(nodes []graph.NodeID) {

@@ -33,16 +33,17 @@ func Frequent(g *graph.Graph, universe []graph.NodeID, cfg Config, topK, minSup 
 	m := pattern.NewMatcher(g, cfg.EmbedCap)
 	m.SetWorkers(cfg.Workers)
 	eng := &engine{
-		g:          g,
-		m:          m,
-		cfg:        cfg,
-		er:         NewErCache(g, cfg.Radius),
-		universe:   universe,
-		anchors:    universe,
-		anchSet:    graph.NodeSetOf(universe),
-		seen:       make(map[string]bool),
-		skipScore:  true,
-		noFallback: true,
+		g:                g,
+		m:                m,
+		cfg:              cfg,
+		er:               NewErCache(g, cfg.Radius),
+		universe:         universe,
+		anchors:          universe,
+		anchSet:          graph.NodeSetOf(universe),
+		universeIsAnchor: true,
+		seen:             make(map[string]bool),
+		skipScore:        true,
+		noFallback:       true,
 	}
 	eng.buildTemplates()
 	if cfg.Workers > 1 {

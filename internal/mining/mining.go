@@ -135,14 +135,15 @@ func SumGen(g *graph.Graph, anchors []graph.NodeID, universe []graph.NodeID, cfg
 	m := pattern.NewMatcher(g, cfg.EmbedCap)
 	m.SetWorkers(cfg.Workers)
 	eng := &engine{
-		g:        g,
-		m:        m,
-		cfg:      cfg,
-		er:       er,
-		universe: universe,
-		anchors:  anchors,
-		anchSet:  graph.NodeSetOf(anchors),
-		seen:     make(map[string]bool),
+		g:                g,
+		m:                m,
+		cfg:              cfg,
+		er:               er,
+		universe:         universe,
+		anchors:          anchors,
+		anchSet:          graph.NodeSetOf(anchors),
+		universeIsAnchor: slices.Equal(universe, anchors),
+		seen:             make(map[string]bool),
 	}
 	if reg := cfg.Obs.GetReg(); reg != nil {
 		// Allocated only when a collector is installed: the hot loops guard
@@ -176,6 +177,11 @@ type engine struct {
 	universe []graph.NodeID
 	anchors  []graph.NodeID
 	anchSet  graph.NodeSet
+	// universeIsAnchor is set when universe and anchors list the same nodes
+	// in the same order (APXFGS and k-APXFGS pass V_p as both, and Frequent
+	// its universe): score then reuses the coverage the generation loop has
+	// already computed over the anchors.
+	universeIsAnchor bool
 
 	// templates lists, per node label, the (edgeLabel, otherLabel, outgoing)
 	// triples observed in the anchors' r-hop neighborhoods — the only edge
@@ -288,7 +294,7 @@ func (e *engine) pushLabelSeeds() {
 func (e *engine) run() {
 	// Fallback seeds first: full-literal singletons per anchor, deduped.
 	for _, p := range e.fallbackSeeds() {
-		if cand := e.score(p, true); cand != nil {
+		if cand := e.score(p, true, nil); cand != nil {
 			e.out = append(e.out, cand)
 			if e.mm != nil {
 				e.mm.emitted.Inc()
@@ -318,7 +324,7 @@ func (e *engine) run() {
 			}
 			continue
 		}
-		if cand := e.score(p, false); cand != nil {
+		if cand := e.score(p, false, coveredAnchors); cand != nil {
 			e.out = append(e.out, cand)
 			if e.mm != nil {
 				e.mm.emitted.Inc()
@@ -363,9 +369,15 @@ func (e *engine) fullLiteralPattern(v graph.NodeID) *pattern.Pattern {
 }
 
 // score builds the emitted candidate: covered universe nodes, covered
-// edges, C_P.
-func (e *engine) score(p *pattern.Pattern, fallback bool) *Candidate {
-	covered := e.m.CoverAmong(p, e.universe)
+// edges, C_P. coveredAnchors is CoverAmong(p, anchors) when the caller has
+// computed it, or nil; score only reads it.
+func (e *engine) score(p *pattern.Pattern, fallback bool, coveredAnchors []graph.NodeID) *Candidate {
+	var covered []graph.NodeID
+	if e.universeIsAnchor && coveredAnchors != nil {
+		covered = slices.Clone(coveredAnchors)
+	} else {
+		covered = e.m.CoverAmong(p, e.universe)
+	}
 	slices.Sort(covered)
 	if len(covered) == 0 {
 		return nil
@@ -382,18 +394,13 @@ func (e *engine) score(p *pattern.Pattern, fallback bool) *Candidate {
 			}
 		}
 	}
-	// Both C_P operands are dense bitsets, so the loss computation collapses
-	// to word-OR unions plus one popcount sweep — no dedup map.
-	bound := e.g.EdgeIDBound()
-	union := graph.NewEdgeBits(bound)
-	coveredEdges := graph.NewEdgeBits(bound)
+	// P_E accumulates straight into the candidate's bitset; C_P is one
+	// blocked word sweep over the E_v^r operands.
+	coveredEdges := graph.NewEdgeBits(e.g.EdgeIDBound())
 	for _, v := range scoreNodes {
-		union.Union(e.er.Get(v))
-		if es, ok := e.m.CoveredEdgeBitsAt(p, v); ok {
-			coveredEdges.Union(es)
-		}
+		e.m.CoveredEdgeBitsAt(p, v, coveredEdges)
 	}
-	cp := union.AndNotCount(coveredEdges)
+	cp := e.er.UnionAndNotCount(scoreNodes, coveredEdges)
 	return &Candidate{P: p, Covered: covered, CoveredEdges: coveredEdges, CP: cp, Fallback: fallback}
 }
 

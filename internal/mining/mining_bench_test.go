@@ -6,6 +6,7 @@ import (
 	"strconv"
 	"testing"
 
+	"github.com/cwru-db/fgs/internal/gen"
 	"github.com/cwru-db/fgs/internal/graph"
 )
 
@@ -89,5 +90,20 @@ func BenchmarkErCacheGet(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		er.Get(anchors[i%len(anchors)])
+	}
+}
+
+// BenchmarkSumGenHub mines at r = 2 around eight users of the LKI
+// generator's 20,000-node co-review network, whose preferential attachment
+// gives a few users thousands of in-edges: the anchors' neighbourhoods reach
+// those hubs, as fgsd's requests do. BenchmarkSumGen's uniform random graph
+// has no hubs.
+func BenchmarkSumGenHub(b *testing.B) {
+	g := gen.LKISized(1, 20000)
+	anchors := nodesWith(g, "user", "city", "c0", "c1")[:8]
+	cfg := Config{Radius: 2}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		SumGen(g, anchors, anchors, cfg, NewErCache(g, 2))
 	}
 }

@@ -3,15 +3,19 @@ package mining
 import (
 	"sync"
 
+	"github.com/cwru-db/fgs/internal/graph"
 	"github.com/cwru-db/fgs/internal/pattern"
 )
 
 // The parallel scoring pipeline.
 //
-// SumGen's cost is dominated by score(): for every grown pattern it evaluates
-// CoverAmong over the whole universe, enumerates embeddings per covered node
-// (CoveredEdgesAt), and walks r-hop edge sets to compute C_P. The BFS growth
-// loop itself — pop, prune on anchor coverage, extend — is cheap, and crucially
+// SumGen's cost is dominated by score(): for every grown pattern it
+// enumerates embeddings per covered node (CoveredEdgeBitsAt) and sweeps
+// r-hop edge sets to compute C_P, after evaluating CoverAmong over the
+// universe unless the universe is the anchors, whose coverage the producer
+// has already computed. The BFS growth loop itself (pop, prune on anchor
+// coverage, extend) is not free: its CoverAmong over the anchors and the
+// canonical code of every extension run serially on the producer. But it
 // does NOT depend on score results: extensions derive from coveredAnchors
 // only, and score() never mutates engine state shared with generation.
 //
@@ -32,10 +36,13 @@ import (
 // reached. Speculation is bounded by the in-flight window (2 × workers).
 
 // scoreJob is one pattern awaiting scoring, tagged with its submission index.
+// coveredAnchors is the producer's CoverAmong over the anchors (nil for the
+// fallback seeds); the producer keeps reading it, so score must not write it.
 type scoreJob struct {
-	seq      int
-	p        *pattern.Pattern
-	fallback bool
+	seq            int
+	p              *pattern.Pattern
+	fallback       bool
+	coveredAnchors []graph.NodeID
 }
 
 // scoreResult is one finished scoring, possibly nil (pattern covers no
@@ -103,7 +110,7 @@ func (e *engine) runParallel() {
 		go func() {
 			defer wg.Done()
 			for j := range jobs {
-				results <- scoreResult{seq: j.seq, cand: e.score(j.p, j.fallback), fallback: j.fallback}
+				results <- scoreResult{seq: j.seq, cand: e.score(j.p, j.fallback, j.coveredAnchors), fallback: j.fallback}
 			}
 		}()
 	}
@@ -118,21 +125,21 @@ func (e *engine) runParallel() {
 		com.add(<-results)
 		received++
 	}
-	submit := func(p *pattern.Pattern, fallback bool) {
+	submit := func(p *pattern.Pattern, fallback bool, coveredAnchors []graph.NodeID) {
 		for submitted-received >= window {
 			drainOne()
 		}
 		if e.mm != nil {
 			e.mm.queueDepth.Observe(int64(submitted - received))
 		}
-		jobs <- scoreJob{seq: submitted, p: p, fallback: fallback}
+		jobs <- scoreJob{seq: submitted, p: p, fallback: fallback, coveredAnchors: coveredAnchors}
 		submitted++
 	}
 
 	// Fallback seeds first, exactly as in run; they never count toward the
 	// grown budget and are always committed.
 	for _, p := range e.fallbackSeeds() {
-		submit(p, true)
+		submit(p, true, nil)
 	}
 	e.pushLabelSeeds()
 
@@ -160,9 +167,13 @@ func (e *engine) runParallel() {
 			p = e.queueLit[0]
 			e.queueLit = e.queueLit[1:]
 		}
-		// Anti-monotone pruning stays eager on the producer: CoverAmong over
-		// the anchors is cheap (and itself parallelized by the matcher for
-		// large anchor sets), and extensions need coveredAnchors anyway.
+		// Anti-monotone pruning stays eager on the producer, since extensions
+		// need coveredAnchors. This search is not cheap: it runs on the one
+		// producer goroutine, serially with generation, and took 13–19% of
+		// the CPU in profiles of perfbench's summarize workload. The matcher
+		// splits it across workers only for anchor sets of parallelThreshold
+		// nodes or more. When the universe is the anchors, score reuses the
+		// result rather than repeating the search.
 		coveredAnchors := e.m.CoverAmong(p, e.anchors)
 		if len(coveredAnchors) < e.cfg.MinCover {
 			if e.mm != nil {
@@ -170,7 +181,7 @@ func (e *engine) runParallel() {
 			}
 			continue
 		}
-		submit(p, false)
+		submit(p, false, coveredAnchors)
 		e.extend(p, coveredAnchors)
 	}
 

@@ -1,6 +1,7 @@
 package pattern
 
 import (
+	"slices"
 	"sort"
 	"sync"
 
@@ -29,10 +30,6 @@ type Matcher struct {
 	// recompiled once the universes grow (see compiledFor).
 	cacheMu sync.RWMutex
 	cache   map[*Pattern]*compiled
-
-	// searchPool recycles per-search assignment/visited scratch across calls
-	// (one scratch per concurrent search; see searchScratch).
-	searchPool sync.Pool
 
 	// Backtracking-search counters, accumulated in locals during each search
 	// call and flushed with a handful of atomic adds at the end — safe under
@@ -275,16 +272,16 @@ func (m *Matcher) MatchAt(p *Pattern, v graph.NodeID) bool {
 	return found
 }
 
-// CoveredEdgeBitsAt returns the set of graph edges matched by any pattern
-// edge in any embedding of p anchored at v (up to EmbedCap embeddings),
-// together with whether at least one embedding exists. This is the hot-path
-// form; CoveredEdgesAt adapts it to the map representation.
-func (m *Matcher) CoveredEdgeBitsAt(p *Pattern, v graph.NodeID) (*graph.EdgeBits, bool) {
+// CoveredEdgeBitsAt adds to into the graph edges matched by any pattern edge
+// in any embedding of p anchored at v (up to EmbedCap embeddings), and
+// reports whether at least one embedding exists. This is the hot-path form:
+// callers accumulate P_E over many anchors into one set. CoveredEdgesAt
+// adapts it to the map representation.
+func (m *Matcher) CoveredEdgeBitsAt(p *Pattern, v graph.NodeID, into *graph.EdgeBits) bool {
 	c := m.compiledFor(p)
 	if !c.ok || !c.nodeOK(m.g, c.focus, v) {
-		return nil, false
+		return false
 	}
-	edges := graph.NewEdgeBits(0)
 	count := 0
 	m.search(c, v, func(s *searchScratch) bool {
 		// Every pattern edge is either some position's anchor (tree) edge or
@@ -292,25 +289,22 @@ func (m *Matcher) CoveredEdgeBitsAt(p *Pattern, v graph.NodeID) (*graph.EdgeBits
 		// the matched graph edge for both, so the union needs no edge-index
 		// probes.
 		for pos := 1; pos < len(s.treeID); pos++ {
-			edges.Add(s.treeID[pos])
+			into.Add(s.treeID[pos])
 			for _, id := range s.extraID[pos] {
-				edges.Add(id)
+				into.Add(id)
 			}
 		}
 		count++
 		return m.EmbedCap == 0 || count < m.EmbedCap
 	})
-	if count == 0 {
-		return nil, false
-	}
-	return edges, true
+	return count > 0
 }
 
 // CoveredEdgesAt is CoveredEdgeBitsAt in the map representation, kept for
 // the cold paths (verification, baselines, public API).
 func (m *Matcher) CoveredEdgesAt(p *Pattern, v graph.NodeID) (graph.EdgeSet, bool) {
-	bits, ok := m.CoveredEdgeBitsAt(p, v)
-	if !ok {
+	bits := graph.NewEdgeBits(0)
+	if !m.CoveredEdgeBitsAt(p, v, bits) {
 		return nil, false
 	}
 	return m.g.EdgeSetOf(bits), true
@@ -370,9 +364,9 @@ func (m *Matcher) Matches(p *Pattern) []graph.NodeID {
 // epoch-stamped used-marks over the graph's node space (stamp[v] == epoch
 // means v is an image of an already-placed pattern node). Unmarking during
 // backtracking writes stamp[v] = 0, which can never equal the epoch (epoch
-// >= 1), so a search leaves no state the next epoch could misread. Pooled
-// per matcher: each concurrent search (coverAmongParallel, the mining score
-// workers) acquires its own scratch.
+// >= 1), so a search leaves no state the next epoch could misread. Each
+// concurrent search (coverAmongParallel, the mining score workers) acquires
+// its own scratch from searchPool.
 type searchScratch struct {
 	assign []graph.NodeID
 	stamp  []uint32
@@ -389,13 +383,23 @@ type searchScratch struct {
 	// already mapped and stays put for the whole candidate loop, so its
 	// (usually short) list is loaded once and scanned in-cache per candidate.
 	backSrc [][]graph.Edge
+	// isect[pos] is position pos's candidate intersection state (see
+	// intersect), valid for the search whose epoch it carries.
+	isect []anchorIndex
 }
+
+// searchPool recycles search scratch package-wide. A pool per Matcher kept
+// one node-space stamp array alive per matcher until the next GC, and fgsd
+// builds a matcher per request. A scratch serves any graph: acquireSearch
+// grows the stamps to the graph's node space, and a larger array from a
+// bigger graph is only read below NumNodes.
+var searchPool sync.Pool
 
 // acquireSearch returns a scratch with assign sized for n pattern nodes,
 // backSrc sized for the pattern's nback back edges, and stamps covering the
 // graph's node space, at a fresh epoch.
 func (m *Matcher) acquireSearch(n, nback int) *searchScratch {
-	s, _ := m.searchPool.Get().(*searchScratch)
+	s, _ := searchPool.Get().(*searchScratch)
 	if s == nil {
 		s = &searchScratch{}
 	}
@@ -416,6 +420,13 @@ func (m *Matcher) acquireSearch(n, nback int) *searchScratch {
 	} else {
 		s.extraID = s.extraID[:n]
 	}
+	if cap(s.isect) < n {
+		grown := make([]anchorIndex, n)
+		copy(grown, s.isect[:cap(s.isect)])
+		s.isect = grown
+	} else {
+		s.isect = s.isect[:n]
+	}
 	if cap(s.backSrc) < nback {
 		s.backSrc = make([][]graph.Edge, nback)
 	} else {
@@ -429,9 +440,122 @@ func (m *Matcher) acquireSearch(n, nback int) *searchScratch {
 	s.epoch++
 	if s.epoch == 0 {
 		clear(s.stamp)
+		all := s.isect[:cap(s.isect)]
+		for i := range all {
+			all[i].epoch = 0
+		}
 		s.epoch = 1
 	}
 	return s
+}
+
+// Candidate intersection. A position's candidates come from its anchor
+// edge: the adjacency list of the anchor's image, filtered by the edge
+// label. When the position also has back edges, every candidate must appear
+// in each back edge's fixed-side list (backSrc) as well. At a hub the anchor
+// list runs to thousands of entries while a back edge's list, the adjacency
+// of an ordinary node, holds a handful; the plain scan then rejects almost
+// every candidate on the back-edge check. intersect instead walks the short
+// list and locates each entry in the anchor list through an index, then
+// hands the hits to the unchanged candidate loop in anchor-list order. The
+// loop therefore sees the same candidates in the same order as the plain
+// scan, less those the plain scan would have rejected on that back edge, so
+// embeddings are enumerated in the same order; under EmbedCap, which keeps
+// the first embeddings found, P_E is unchanged too.
+//
+// intersectMinList and intersectRatio gate it: the anchor list must hold at
+// least intersectMinList entries and at least intersectRatio times as many
+// as the shortest back-edge list. Both were chosen on
+// BenchmarkMatchHubClosingEdge.
+const (
+	intersectMinList = 32
+	intersectRatio   = 4
+)
+
+// anchorIndex is one position's intersection state. The index maps a
+// neighbour to its entry's offset in the anchor list of from (the anchor
+// image it was built for), over the entries with the anchor edge's label; it
+// is built on a position's first intersecting visit in a search and rebuilt
+// only when the anchor image changes. It is an open-addressing table with
+// linear probing: keys hold neighbour+1 (0 = empty), vals the offsets.
+type anchorIndex struct {
+	epoch uint32 // the search epoch it was built in; stale otherwise
+	from  graph.NodeID
+	shift uint8 // 32 - log2(len(keys))
+	keys  []uint32
+	vals  []int32
+	// hits and cands are the current visit's matches: offsets in ascending
+	// order and the anchor-list entries at them.
+	hits  []int32
+	cands []graph.Edge
+}
+
+// build indexes the entries of list with the given label.
+func (ix *anchorIndex) build(list []graph.Edge, label graph.LabelID) {
+	size, shift := 8, uint8(29)
+	for size < 2*len(list) {
+		size, shift = size*2, shift-1
+	}
+	if cap(ix.keys) < size {
+		ix.keys, ix.vals = make([]uint32, size), make([]int32, size)
+	} else {
+		ix.keys, ix.vals = ix.keys[:size], ix.vals[:size]
+		clear(ix.keys)
+	}
+	ix.shift = shift
+	mask := uint32(size - 1)
+	for i, e := range list {
+		if e.Label != label {
+			continue
+		}
+		key := uint32(e.To) + 1
+		h := (key * 0x9E3779B1) >> shift
+		for ix.keys[h] != 0 {
+			h = (h + 1) & mask
+		}
+		ix.keys[h], ix.vals[h] = key, int32(i)
+	}
+}
+
+// lookup returns v's offset in the indexed list, or -1.
+func (ix *anchorIndex) lookup(v graph.NodeID) int32 {
+	key := uint32(v) + 1
+	mask := uint32(len(ix.keys) - 1)
+	for h := (key * 0x9E3779B1) >> ix.shift; ; h = (h + 1) & mask {
+		switch ix.keys[h] {
+		case key:
+			return ix.vals[h]
+		case 0:
+			return -1
+		}
+	}
+}
+
+// intersect returns, in list order, the entries of list (the anchor list of
+// from) with the given label whose neighbour appears in short with
+// shortLabel.
+func (s *searchScratch) intersect(pos int, from graph.NodeID, list []graph.Edge, label graph.LabelID, short []graph.Edge, shortLabel graph.LabelID) []graph.Edge {
+	ix := &s.isect[pos]
+	if ix.epoch != s.epoch || ix.from != from {
+		ix.build(list, label)
+		ix.epoch, ix.from = s.epoch, from
+	}
+	hits := ix.hits[:0]
+	for _, e := range short {
+		if e.Label != shortLabel {
+			continue
+		}
+		if at := ix.lookup(e.To); at >= 0 {
+			hits = append(hits, at)
+		}
+	}
+	slices.Sort(hits)
+	cands := ix.cands[:0]
+	for _, at := range hits {
+		cands = append(cands, list[at])
+	}
+	ix.hits, ix.cands = hits, cands
+	return cands
 }
 
 // search runs anchored backtracking. emit is called for each embedding found
@@ -441,7 +565,7 @@ func (m *Matcher) acquireSearch(n, nback int) *searchScratch {
 func (m *Matcher) search(c *compiled, anchor graph.NodeID, emit func(*searchScratch) bool) {
 	n := len(c.labels)
 	s := m.acquireSearch(n, c.nback)
-	defer m.searchPool.Put(s)
+	defer searchPool.Put(s)
 	assign, stamp, epoch := s.assign, s.stamp, s.epoch
 	assign[c.order[0]] = anchor
 	stamp[anchor] = epoch
@@ -475,12 +599,16 @@ func (m *Matcher) search(c *compiled, anchor graph.NodeID, emit func(*searchScra
 		// endpoint, so verification below is one in-cache scan per candidate
 		// instead of an edge-index probe.
 		boff := c.backOff[pos]
+		shortest := -1
 		for i, e := range backEdges {
 			w := assign[e.other]
 			if e.out {
 				s.backSrc[boff+i] = m.g.In(w)
 			} else {
 				s.backSrc[boff+i] = m.g.Out(w)
+			}
+			if shortest < 0 || len(s.backSrc[boff+i]) < len(s.backSrc[boff+shortest]) {
+				shortest = i
 			}
 		}
 		// Candidates come from the anchor edge: if the edge leaves u, u's
@@ -491,6 +619,11 @@ func (m *Matcher) search(c *compiled, anchor graph.NodeID, emit func(*searchScra
 			cands = m.g.In(from)
 		} else {
 			cands = m.g.Out(from)
+		}
+		if shortest >= 0 && len(cands) >= intersectMinList {
+			if short := s.backSrc[boff+shortest]; intersectRatio*len(short) <= len(cands) {
+				cands = s.intersect(pos, from, cands, a.label, short, backEdges[shortest].label)
+			}
 		}
 		for _, ge := range cands {
 			if ge.Label != a.label {

@@ -1,6 +1,7 @@
 package pattern
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -76,5 +77,30 @@ func BenchmarkCanonicalCode(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		CanonicalCode(p)
+	}
+}
+
+// BenchmarkMatchHubClosingEdge runs the shape whose closing edge meets a
+// hub's in-list (hubPatterns' "in-list": two linked users pointing at the
+// anchor's hub) at the next user per op: one MatchAt and one
+// CoveredEdgeBitsAt under the miner's default cap of 512. hub is the hub's
+// in-degree from users, links each user's out-links to other users, so the
+// back-edge list is about links long. The plain scan costs about hub entries
+// per placement of the third node; the intersection about links. The
+// intersection thresholds in match.go come from this sweep.
+func BenchmarkMatchHubClosingEdge(b *testing.B) {
+	for _, sz := range []struct{ hub, links int }{{32, 3}, {64, 3}, {256, 3}, {256, 16}, {4096, 3}} {
+		b.Run(fmt.Sprintf("hub=%d/links=%d", sz.hub, sz.links), func(b *testing.B) {
+			g, _, users := hubGraph(b, sz.hub, sz.links, 1)
+			p := hubPatterns()[0].p
+			m := NewMatcher(g, 512)
+			edges := graph.NewEdgeBits(g.EdgeIDBound())
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				v := users[i%len(users)]
+				m.MatchAt(p, v)
+				m.CoveredEdgeBitsAt(p, v, edges)
+			}
+		})
 	}
 }

@@ -215,7 +215,8 @@ func TestBackEdgeIntoHubAgainstBruteForce(t *testing.T) {
 				}
 				return true
 			})
-			edges, ok := m.CoveredEdgeBitsAt(p, v)
+			edges := graph.NewEdgeBits(0)
+			ok := m.CoveredEdgeBitsAt(p, v, edges)
 			if ok != (len(want) > 0) || ok != m.MatchAt(p, v) {
 				t.Fatalf("%s at %d: matcher says %v, oracle found %d edges", p, v, ok, len(want))
 			}

@@ -1,7 +1,9 @@
 package pattern
 
 import (
+	"fmt"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"github.com/cwru-db/fgs/internal/graph"
@@ -78,4 +80,45 @@ func BenchmarkCoverAmongParallel4(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		m.CoverAmong(p, cands)
 	}
+}
+
+// TestSearchPoolSharedAcrossGraphs runs matchers over two graphs of
+// different sizes from several goroutines at once, as fgsd's per-request
+// matchers do, so pooled scratch (stamps and intersection indexes) built
+// for one graph is reused on the other. Every result must equal the one
+// computed alone.
+func TestSearchPoolSharedAcrossGraphs(t *testing.T) {
+	big, _, _ := hubGraph(t, 300, 3, 1)
+	small, _, _ := hubGraph(t, 40, 2, 2)
+	p := hubPatterns()[0].p
+	covered := func(g *graph.Graph) []int {
+		m := NewMatcher(g, 7)
+		out := make([]int, g.NumNodes())
+		for v := range out {
+			edges := graph.NewEdgeBits(0)
+			if m.CoveredEdgeBitsAt(p, graph.NodeID(v), edges) {
+				out[v] = 1 + edges.Count()
+			}
+		}
+		return out
+	}
+	want := map[*graph.Graph][]int{big: covered(big), small: covered(small)}
+	var wg sync.WaitGroup
+	for i := 0; i < 8; i++ {
+		g := big
+		if i%2 == 1 {
+			g = small
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for round := 0; round < 3; round++ {
+				if got := covered(g); fmt.Sprint(got) != fmt.Sprint(want[g]) {
+					t.Errorf("graph of %d nodes: concurrent result differs", g.NumNodes())
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

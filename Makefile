@@ -53,11 +53,12 @@ bench:
 
 # bench-ci is CI's bench job: the performance-sensitive paths only,
 # with the raw -json stream archived under a dated name for benchstat /
-# bench-compare diffs. The pinned set covers selection (GreedyCover), the
+# bench-compare diffs. The pinned set covers selection (GreedyCover, and
+# k-APXFGS's max coverage over SumGenHub's candidates in KAPXFGSHub), the
 # mining pipeline (SumGen*, including SumGenHub's hub-reaching anchors), the
 # E_v^r cache, the matcher hot paths (hub closing edges included) and
 # canonical codes, the graph substrate, and the fgstore write/recovery paths.
-BENCH_CI_RE := BenchmarkGreedyCover|BenchmarkSumGen$$|BenchmarkSumGenParallel|BenchmarkSumGenHub|BenchmarkErCacheHit|BenchmarkSumGenObs|BenchmarkMatchAtStar|BenchmarkMatchAtChain3|BenchmarkMatchHubClosingEdge|BenchmarkCoveredEdgesAt|BenchmarkCanonicalCode|BenchmarkErCacheGet|BenchmarkRHopEdges2|BenchmarkAddEdge|BenchmarkAddEdgeHighDegree|BenchmarkHasEdge|BenchmarkWALAppend|BenchmarkRecoveryReplay
+BENCH_CI_RE := BenchmarkGreedyCover|BenchmarkKAPXFGSHub|BenchmarkSumGen$$|BenchmarkSumGenParallel|BenchmarkSumGenHub|BenchmarkErCacheHit|BenchmarkSumGenObs|BenchmarkMatchAtStar|BenchmarkMatchAtChain3|BenchmarkMatchHubClosingEdge|BenchmarkCoveredEdgesAt|BenchmarkCanonicalCode|BenchmarkErCacheGet|BenchmarkRHopEdges2|BenchmarkAddEdge|BenchmarkAddEdgeHighDegree|BenchmarkHasEdge|BenchmarkWALAppend|BenchmarkRecoveryReplay
 
 # The raw stream is also condensed into BENCH_<date>-summary.json — a compact
 # sorted {name, ns_per_op, bytes_per_op, allocs_per_op} array for dashboards

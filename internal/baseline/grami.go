@@ -67,11 +67,12 @@ func countCorrections(g *graph.Graph, patterns []*pattern.Pattern, covered []gra
 		return 0
 	}
 	m := pattern.NewMatcher(g, embedCap)
-	described := graph.NewEdgeBits(g.EdgeIDBound())
+	described := graph.AcquireEdgeAcc(g.EdgeIDBound())
+	defer described.Release()
 	for _, p := range patterns {
 		for _, v := range covered {
 			m.CoveredEdgeBitsAt(p, v, described)
 		}
 	}
-	return g.RHopEdgeBitsOf(covered, r).AndNotCount(described)
+	return g.RHopEdgeBitsOf(covered, r).AndNotCount(described.Bits())
 }

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"github.com/cwru-db/fgs/internal/gen"
 	"github.com/cwru-db/fgs/internal/graph"
 	"github.com/cwru-db/fgs/internal/mining"
 )
@@ -33,9 +34,8 @@ func benchCoverInstance(nCands, universe int) (cands []*mining.Candidate, vp []g
 		}
 		sortNodes(covered)
 		cands = append(cands, &mining.Candidate{
-			Covered:      covered,
-			CoveredEdges: graph.NewEdgeBits(0),
-			CP:           rng.Intn(30),
+			Covered: covered,
+			CP:      rng.Intn(30),
 		})
 	}
 	vp = make([]graph.NodeID, universe)
@@ -71,5 +71,32 @@ func BenchmarkGreedyCover(b *testing.B) {
 				}
 			})
 		}
+	}
+}
+
+// BenchmarkKAPXFGSHub runs k-APXFGS's summarization phase (maxCoverSelect:
+// the lazy max-coverage greedy and the node-coverage repair) at r = 2 and
+// k = 24 over the candidates SumGen mines around BenchmarkSumGenHub's
+// anchors: eight users of the LKI generator's 20,000-node co-review
+// network, whose neighbourhoods reach its hubs. Mining runs once, outside
+// the timer.
+func BenchmarkKAPXFGSHub(b *testing.B) {
+	g := gen.LKISized(1, 20000)
+	var anchors []graph.NodeID
+	for _, v := range g.NodesWithLabel("user") {
+		if city, _ := g.AttrString(v, "city"); city == "c0" || city == "c1" {
+			anchors = append(anchors, v)
+			if len(anchors) == 8 {
+				break
+			}
+		}
+	}
+	cfg := Config{R: 2, N: len(anchors), K: 24}.withDefaults()
+	er := mining.NewErCache(g, cfg.R)
+	cands := mining.SumGen(g, anchors, anchors, cfg.Mining, er)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		maxCoverSelect(cands, anchors, cfg, er, nil)
 	}
 }

@@ -35,10 +35,9 @@ func randCoverInstance(rng *rand.Rand) (cands []*mining.Candidate, vp []graph.No
 		// distinguish candidates with identical coverage, so the
 		// earliest-index tie-break is verified exactly.
 		cands = append(cands, &mining.Candidate{
-			P:            new(pattern.Pattern),
-			Covered:      covered,
-			CoveredEdges: graph.NewEdgeBits(0),
-			CP:           rng.Intn(4),
+			P:       new(pattern.Pattern),
+			Covered: covered,
+			CP:      rng.Intn(4),
 		})
 	}
 	nVP := 1 + rng.Intn(universe)
@@ -101,7 +100,7 @@ func TestGreedyCoverMatchesScan(t *testing.T) {
 func TestGreedyCoverEdgeCases(t *testing.T) {
 	mk := func(cp int, nodes ...graph.NodeID) *mining.Candidate {
 		// Distinct P pointers distinguish otherwise-identical candidates.
-		return &mining.Candidate{P: new(pattern.Pattern), Covered: nodes, CoveredEdges: graph.NewEdgeBits(0), CP: cp}
+		return &mining.Candidate{P: new(pattern.Pattern), Covered: nodes, CP: cp}
 	}
 	cases := []struct {
 		name        string

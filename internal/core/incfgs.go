@@ -169,7 +169,7 @@ func (m *Maintainer) Apply(delta Delta) (*Summary, int, error) {
 	// Refresh patterns: drop those covering no selected node (Fig. 7 lines
 	// 5-6); re-verify coverage and re-score those touching the affected
 	// region, since new edges can both create matches and change C_P.
-	affectedSet := graph.NodeSetOf(affected)
+	affectedSet := graph.NodeBitsOf(affected)
 	sp = m.run.phase(PhaseSummarize)
 	kept := m.patterns[:0]
 	for _, pi := range m.patterns {
@@ -198,12 +198,13 @@ func (m *Maintainer) Apply(delta Delta) (*Summary, int, error) {
 // current graph and selection.
 func (m *Maintainer) rescore(p *pattern.Pattern) PatternInfo {
 	covered := sortNodes(m.matcher.CoverAmong(p, m.sel.Selected()))
-	edges := graph.NewEdgeBits(m.g.EdgeIDBound())
+	edges := graph.AcquireEdgeAcc(m.g.EdgeIDBound())
+	defer edges.Release()
 	for _, v := range covered {
 		m.matcher.CoveredEdgeBitsAt(p, v, edges)
 	}
-	cp := m.er.UnionAndNotCount(covered, edges)
-	return PatternInfo{P: p, Covered: covered, CoveredEdges: m.g.EdgeSetOf(edges), CP: cp}
+	cp := m.er.UnionAndNotCount(covered, edges.Bits())
+	return PatternInfo{P: p, Covered: covered, CoveredEdges: m.g.EdgeSetOfIDs(edges.IDs()), CP: cp}
 }
 
 // recover restores the invariant V_p ⊆ P_V by mining locally around the

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"container/heap"
 	"fmt"
 	"sort"
 
@@ -53,56 +54,144 @@ func KAPXFGS(g *graph.Graph, groups *submod.Groups, util submod.Utility, cfg Con
 
 // maxCoverSelect picks up to k candidates maximizing edge coverage of
 // E^r_{V_p}, then repairs V_p node coverage by swapping. Iteration counters
-// (rounds, candidate scans, repair swaps) are reported to reg at the end —
+// (rounds, gain evaluations, repair swaps) are reported to reg at the end —
 // zero overhead inside the loops, nothing when reg is nil.
 func maxCoverSelect(cands []*mining.Candidate, vp []graph.NodeID, cfg Config, er *mining.ErCache, reg *obs.Registry) ([]PatternInfo, []graph.NodeID) {
-	var rounds, scans, swaps int64
-	defer func() {
-		reg.Add("fgs_cover_rounds_total", "Greedy cover rounds (patterns chosen).", nil, rounds)
-		reg.Add("fgs_cover_candidate_scans_total", "Candidate evaluations across greedy cover rounds.", nil, scans)
-		reg.Add("fgs_cover_swaps_total", "Repair-phase pattern swaps in KAPXFGS.", nil, swaps)
-	}()
-
 	universe := er.UnionOf(vp)
-	chosenIdx := make([]int, 0, cfg.K)
-	used := make([]bool, len(cands))
+	chosenIdx, evals := lazyMaxCover(cands, universe, cfg.N, cfg.K)
+	rounds := int64(len(chosenIdx))
+	chosenIdx, uncovered, swaps := repairCover(cands, vp, universe, chosenIdx, cfg.N, cfg.K)
+	reg.Add("fgs_cover_rounds_total", "Greedy cover rounds (patterns chosen).", nil, rounds)
+	reg.Add("fgs_cover_candidate_scans_total", "Marginal edge-gain evaluations in KAPXFGS's lazy max-coverage greedy.", nil, evals)
+	reg.Add("fgs_cover_swaps_total", "Repair-phase pattern swaps in KAPXFGS.", nil, swaps)
 
-	// Greedy max coverage over edges; all three operand sets are dense
-	// bitsets, so each marginal gain is one word sweep.
-	coveredEdges := graph.NewEdgeBits(er.Graph().EdgeIDBound())
-	for len(chosenIdx) < cfg.K {
-		best := -1
-		bestGain := -1
-		for i, cand := range cands {
-			if used[i] {
-				continue
-			}
-			scans++
-			if !feasibleTogether(cands, append(chosenIdx, i), cfg.N) {
-				continue
-			}
-			gain := edgeMarginal(cand, universe, coveredEdges)
-			if gain > bestGain {
-				bestGain = gain
-				best = i
+	chosen := make([]PatternInfo, 0, len(chosenIdx))
+	for _, i := range chosenIdx {
+		chosen = append(chosen, infoOf(er.Graph(), cands[i]))
+	}
+	return chosen, uncovered
+}
+
+// lazyMaxCover is the greedy max coverage of k-APXFGS: up to k times, it
+// picks the candidate with the largest marginal gain |P_E ∩ universe \
+// covered| among those whose covered nodes, joined with the chosen ones',
+// stay within n, ties to the lower index. It stops when no such candidate
+// has a positive gain, leaving the rest of the budget to the repair phase.
+// It returns the chosen indices in order and how many gains it evaluated.
+//
+// A gain is counted over the candidate's P_E list, and gains only fall as
+// the covered edges grow. So a max-heap keyed on (gain, lower index first),
+// with keys from earlier rounds, overestimates every entry: an entry whose
+// gain has been recounted this round and that still tops the heap is the
+// round's argmax, exactly what a scan of every candidate picks. Two of the
+// scan's per-round skips become permanent drops: a gain of 0 never rises,
+// and the union of covered nodes only grows, so a candidate that breaks
+// the n cap once always will. greedyCover rests on the same argument.
+func lazyMaxCover(cands []*mining.Candidate, universe *graph.EdgeBits, n, k int) (chosenIdx []int, evals int64) {
+	covered := graph.NewEdgeBits(0)
+	gain := func(i int) int {
+		evals++
+		g := 0
+		for _, e := range cands[i].CoveredEdges {
+			if universe.Has(e) && !covered.Has(e) {
+				g++
 			}
 		}
-		if best < 0 || bestGain <= 0 {
-			// No candidate improves edge coverage; stop early (remaining
-			// budget is better spent by the repair phase below).
-			break
-		}
-		used[best] = true
-		chosenIdx = append(chosenIdx, best)
-		rounds++
-		cands[best].CoveredEdges.Iterate(func(e graph.EdgeID) {
-			if universe.Has(e) {
-				coveredEdges.Add(e)
+		return g
+	}
+	// The covered nodes of the chosen candidates, for the n cap.
+	nodes := graph.NewNodeBits(0)
+	fits := func(i int) bool {
+		grown := nodes.Count()
+		for _, v := range cands[i].Covered {
+			if !nodes.Has(v) {
+				grown++
 			}
-		})
+		}
+		return grown <= n
 	}
 
-	// Repair node coverage of V_p: first fill any spare budget, then swap.
+	// counted[i] is the round in which entry i's key was last counted; every
+	// key starts counted against round 1's empty cover.
+	h := &edgeGainHeap{}
+	counted := make([]int, len(cands))
+	for i := range cands {
+		counted[i] = 1
+		if g := gain(i); g > 0 {
+			h.entries = append(h.entries, coverEntry{idx: int32(i), gain: int32(g)})
+		}
+	}
+	heap.Init(h)
+
+	for round := 1; len(chosenIdx) < k && h.Len() > 0; {
+		top := &h.entries[0]
+		i := int(top.idx)
+		if !fits(i) {
+			heap.Pop(h)
+			continue
+		}
+		if counted[i] != round {
+			counted[i] = round
+			g := gain(i)
+			if g == 0 {
+				heap.Pop(h)
+				continue
+			}
+			if g != int(top.gain) {
+				top.gain = int32(g)
+				heap.Fix(h, 0)
+				continue
+			}
+		}
+		heap.Pop(h)
+		chosenIdx = append(chosenIdx, i)
+		round++
+		for _, e := range cands[i].CoveredEdges {
+			if universe.Has(e) {
+				covered.Add(e)
+			}
+		}
+		for _, v := range cands[i].Covered {
+			nodes.Add(v)
+		}
+	}
+	return chosenIdx, evals
+}
+
+// edgeGainHeap is lazyMaxCover's max-heap: larger gain first, ties toward
+// the lower candidate index.
+type edgeGainHeap struct{ entries []coverEntry }
+
+func (h *edgeGainHeap) Len() int { return len(h.entries) }
+
+func (h *edgeGainHeap) Less(a, b int) bool {
+	ea, eb := h.entries[a], h.entries[b]
+	if ea.gain != eb.gain {
+		return ea.gain > eb.gain
+	}
+	return ea.idx < eb.idx
+}
+
+func (h *edgeGainHeap) Swap(a, b int) { h.entries[a], h.entries[b] = h.entries[b], h.entries[a] }
+
+func (h *edgeGainHeap) Push(x any) { h.entries = append(h.entries, x.(coverEntry)) }
+
+func (h *edgeGainHeap) Pop() any {
+	old := h.entries
+	x := old[len(old)-1]
+	h.entries = old[:len(old)-1]
+	return x
+}
+
+// repairCover repairs node coverage of vp after the greedy chose chosenIdx:
+// it first fills any spare budget of k, then swaps. It returns the final
+// choice, the selected nodes it leaves uncovered, and the swap count.
+func repairCover(cands []*mining.Candidate, vp []graph.NodeID, universe *graph.EdgeBits, chosenIdx []int, n, k int) ([]int, []graph.NodeID, int64) {
+	var swaps int64
+	used := make([]bool, len(cands))
+	for _, i := range chosenIdx {
+		used[i] = true
+	}
 	uncoveredOf := func(idx []int) []graph.NodeID {
 		cov := graph.NewNodeSet(0)
 		for _, i := range idx {
@@ -119,7 +208,7 @@ func maxCoverSelect(cands []*mining.Candidate, vp []graph.NodeID, cfg Config, er
 		return out
 	}
 
-	for rounds := 0; rounds < cfg.K+len(vp); rounds++ {
+	for rounds := 0; rounds < k+len(vp); rounds++ {
 		missing := uncoveredOf(chosenIdx)
 		if len(missing) == 0 {
 			break
@@ -155,8 +244,8 @@ func maxCoverSelect(cands []*mining.Candidate, vp []graph.NodeID, cfg Config, er
 		progressed := false
 		for _, ic := range ins {
 			in := ic.idx
-			if len(chosenIdx) < cfg.K {
-				if feasibleTogether(cands, append(chosenIdx, in), cfg.N) {
+			if len(chosenIdx) < k {
+				if feasibleTogether(cands, append(chosenIdx, in), n) {
 					used[in] = true
 					chosenIdx = append(chosenIdx, in)
 					progressed = true
@@ -173,7 +262,7 @@ func maxCoverSelect(cands []*mining.Candidate, vp []graph.NodeID, cfg Config, er
 				trial = append(trial, chosenIdx[:pos]...)
 				trial = append(trial, chosenIdx[pos+1:]...)
 				trial = append(trial, in)
-				if !feasibleTogether(cands, trial, cfg.N) {
+				if !feasibleTogether(cands, trial, n) {
 					continue
 				}
 				if len(uncoveredOf(trial)) >= len(missing) {
@@ -200,30 +289,29 @@ func maxCoverSelect(cands []*mining.Candidate, vp []graph.NodeID, cfg Config, er
 		}
 	}
 
-	chosen := make([]PatternInfo, 0, len(chosenIdx))
-	for _, i := range chosenIdx {
-		chosen = append(chosen, infoOf(er.Graph(), cands[i]))
-	}
-	return chosen, uncoveredOf(chosenIdx)
-}
-
-// edgeMarginal counts cand's covered edges inside the universe not yet
-// covered.
-func edgeMarginal(cand *mining.Candidate, universe, covered *graph.EdgeBits) int {
-	return cand.CoveredEdges.IntersectAndNotCount(universe, covered)
+	return chosenIdx, uncoveredOf(chosenIdx), swaps
 }
 
 // uniqueEdgeContribution counts universe edges only the pattern at position
 // pos covers among the chosen set.
 func uniqueEdgeContribution(cands []*mining.Candidate, chosenIdx []int, pos int, universe *graph.EdgeBits) int {
-	others := graph.NewEdgeBits(0)
+	others := graph.AcquireEdgeAcc(0)
+	defer others.Release()
 	for p, i := range chosenIdx {
 		if p == pos {
 			continue
 		}
-		others.Union(cands[i].CoveredEdges)
+		for _, e := range cands[i].CoveredEdges {
+			others.Add(e)
+		}
 	}
-	return cands[chosenIdx[pos]].CoveredEdges.IntersectAndNotCount(universe, others)
+	n := 0
+	for _, e := range cands[chosenIdx[pos]].CoveredEdges {
+		if universe.Has(e) && !others.Bits().Has(e) {
+			n++
+		}
+	}
+	return n
 }
 
 // feasibleTogether checks the n cap for the union coverage of a candidate

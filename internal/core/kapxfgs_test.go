@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"github.com/cwru-db/fgs/internal/graph"
@@ -148,13 +149,13 @@ func TestMaxCoverSelectSwapPath(t *testing.T) {
 	rich := &mining.Candidate{
 		P:            pattern.NewNodePattern("user"),
 		Covered:      []graph.NodeID{a},
-		CoveredEdges: g.EdgeBitsOf(graph.EdgeSet{aEdges[0]: {}, aEdges[1]: {}, aEdges[2]: {}}),
+		CoveredEdges: edgeIDsOf(g, aEdges...),
 		CP:           0,
 	}
 	broad := &mining.Candidate{
 		P:            pattern.NewNodePattern("user"),
 		Covered:      []graph.NodeID{a, b},
-		CoveredEdges: g.EdgeBitsOf(graph.EdgeSet{bEdge: {}}),
+		CoveredEdges: edgeIDsOf(g, bEdge),
 		CP:           3,
 	}
 	vp := []graph.NodeID{a, b}
@@ -167,4 +168,16 @@ func TestMaxCoverSelectSwapPath(t *testing.T) {
 	if len(chosen) != 1 || len(chosen[0].Covered) != 2 {
 		t.Fatalf("expected the broad candidate after the swap, got %+v", chosen)
 	}
+}
+
+// edgeIDsOf returns the IDs of refs in g as a sorted P_E list.
+func edgeIDsOf(g *graph.Graph, refs ...graph.EdgeRef) []graph.EdgeID {
+	var ids []graph.EdgeID
+	for _, ref := range refs {
+		if id, ok := g.EdgeIDOf(ref); ok {
+			ids = append(ids, id)
+		}
+	}
+	slices.Sort(ids)
+	return ids
 }

@@ -87,14 +87,14 @@ type PatternInfo struct {
 }
 
 // infoOf converts a mined candidate to the public PatternInfo, materializing
-// its covered-edge bitset into the map representation at the API boundary.
+// its covered-edge list into the map representation at the API boundary.
 // g may be nil for synthetic candidates (tests, benches) that carry no
 // edges; such candidates get a nil (empty, read-only) edge set rather than
 // paying a map allocation per selection.
 func infoOf(g *graph.Graph, cand *mining.Candidate) PatternInfo {
 	pi := PatternInfo{P: cand.P, Covered: cand.Covered, CP: cand.CP}
 	if g != nil && cand.CoveredEdges != nil {
-		pi.CoveredEdges = g.EdgeSetOf(cand.CoveredEdges)
+		pi.CoveredEdges = g.EdgeSetOfIDs(cand.CoveredEdges)
 	}
 	return pi
 }

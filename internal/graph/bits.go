@@ -35,13 +35,16 @@ func (b *bitset) ensure(i int) {
 	b.words = nw
 }
 
-func (b *bitset) add(i int) {
+// add sets bit i and reports whether it was clear before.
+func (b *bitset) add(i int) bool {
 	b.ensure(i)
 	w, m := i>>6, uint64(1)<<(uint(i)&63)
-	if b.words[w]&m == 0 {
-		b.words[w] |= m
-		b.count++
+	if b.words[w]&m != 0 {
+		return false
 	}
+	b.words[w] |= m
+	b.count++
+	return true
 }
 
 func (b *bitset) has(i int) bool {
@@ -107,36 +110,6 @@ func (b *bitset) andNotCount(other *bitset) int {
 	return n
 }
 
-// intersectAndNotCount reports |b ∩ and \ not| in one word sweep.
-func (b *bitset) intersectAndNotCount(and, not *bitset) int {
-	words := b.words
-	if len(and.words) < len(words) {
-		words = words[:len(and.words)]
-	}
-	n := 0
-	for w, bw := range words {
-		bw &= and.words[w]
-		if w < len(not.words) {
-			bw &^= not.words[w]
-		}
-		n += bits.OnesCount64(bw)
-	}
-	return n
-}
-
-// andCount reports |b ∩ other|.
-func (b *bitset) andCount(other *bitset) int {
-	n := 0
-	words := b.words
-	if len(other.words) < len(words) {
-		words = words[:len(other.words)]
-	}
-	for w, bw := range words {
-		n += bits.OnesCount64(bw & other.words[w])
-	}
-	return n
-}
-
 func (b *bitset) clone() bitset {
 	return bitset{words: append([]uint64(nil), b.words...), count: b.count}
 }
@@ -182,15 +155,6 @@ func (s *EdgeBits) Minus(other *EdgeBits) *EdgeBits { return &EdgeBits{b: s.b.mi
 
 // AndNotCount reports |s \ other| without materializing the difference.
 func (s *EdgeBits) AndNotCount(other *EdgeBits) int { return s.b.andNotCount(&other.b) }
-
-// AndCount reports |s ∩ other|.
-func (s *EdgeBits) AndCount(other *EdgeBits) int { return s.b.andCount(&other.b) }
-
-// IntersectAndNotCount reports |s ∩ and \ not| in one word sweep — the
-// marginal-gain popcount of the max-coverage loops.
-func (s *EdgeBits) IntersectAndNotCount(and, not *EdgeBits) int {
-	return s.b.intersectAndNotCount(&and.b, &not.b)
-}
 
 // UnionAndNotCount reports |(∪ sets) \ not| without materializing the
 // union: it gathers the union a block of unionBlock words at a time in a
@@ -278,9 +242,6 @@ func (s *NodeBits) Minus(other *NodeBits) *NodeBits { return &NodeBits{b: s.b.mi
 
 // AndNotCount reports |s \ other|.
 func (s *NodeBits) AndNotCount(other *NodeBits) int { return s.b.andNotCount(&other.b) }
-
-// AndCount reports |s ∩ other|.
-func (s *NodeBits) AndCount(other *NodeBits) int { return s.b.andCount(&other.b) }
 
 // Clone returns an independent copy.
 func (s *NodeBits) Clone() *NodeBits { return &NodeBits{b: s.b.clone()} }

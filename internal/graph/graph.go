@@ -125,11 +125,7 @@ func (g *Graph) AddNode(label string, attrs map[string]string) NodeID {
 
 	var tuple []Attr
 	if len(attrs) > 0 {
-		tuple = make([]Attr, 0, len(attrs))
-		for k, v := range attrs {
-			tuple = append(tuple, Attr{Key: g.attrKeys.Intern(k), Val: g.attrVals.Intern(v)})
-		}
-		sort.Slice(tuple, func(i, j int) bool { return tuple[i].Key < tuple[j].Key })
+		tuple = g.internAttrs(attrs)
 	}
 	g.attrsOf = append(g.attrsOf, tuple)
 
@@ -137,6 +133,38 @@ func (g *Graph) AddNode(label string, attrs map[string]string) NodeID {
 	g.in = append(g.in, nil)
 	g.byLabel[lid] = append(g.byLabel[lid], id)
 	return id
+}
+
+// internAttrs resolves an attribute map to a tuple sorted by key ID. New
+// keys and values are interned in sorted key order, so the IDs a graph
+// build assigns, and with them the order of every tuple, do not follow map
+// iteration order. When every string is interned already, as for all but
+// the first few nodes of a generated graph, the key names need no sort.
+func (g *Graph) internAttrs(attrs map[string]string) []Attr {
+	tuple := make([]Attr, 0, len(attrs))
+	fresh := false
+	for k, v := range attrs {
+		kid, kok := g.attrKeys.Lookup(k)
+		vid, vok := g.attrVals.Lookup(v)
+		if !kok || !vok {
+			fresh = true
+			break
+		}
+		tuple = append(tuple, Attr{Key: kid, Val: vid})
+	}
+	if fresh {
+		keys := make([]string, 0, len(attrs))
+		for k := range attrs {
+			keys = append(keys, k)
+		}
+		sort.Strings(keys)
+		tuple = tuple[:0]
+		for _, k := range keys {
+			tuple = append(tuple, Attr{Key: g.attrKeys.Intern(k), Val: g.attrVals.Intern(attrs[k])})
+		}
+	}
+	sort.Slice(tuple, func(i, j int) bool { return tuple[i].Key < tuple[j].Key })
+	return tuple
 }
 
 // AddEdge inserts a directed labeled edge from -> to. Parallel edges with the
@@ -256,6 +284,16 @@ func (g *Graph) EdgeIDBound() int { return len(g.edgeDefs) }
 func (g *Graph) EdgeSetOf(bits *EdgeBits) EdgeSet {
 	out := NewEdgeSet(bits.Count())
 	bits.Iterate(func(id EdgeID) { out.Add(g.edgeDefs[id]) })
+	return out
+}
+
+// EdgeSetOfIDs materializes a list of edge IDs (a P_E list or an EdgeAcc's
+// IDs) as the equivalent EdgeSet.
+func (g *Graph) EdgeSetOfIDs(ids []EdgeID) EdgeSet {
+	out := NewEdgeSet(len(ids))
+	for _, id := range ids {
+		out.Add(g.edgeDefs[id])
+	}
 	return out
 }
 

@@ -105,10 +105,10 @@ func sumGenDigest(cands []*Candidate) string {
 		for _, v := range c.Covered {
 			buf = binary.AppendUvarint(buf, uint64(v))
 		}
-		buf = binary.AppendUvarint(buf, uint64(c.CoveredEdges.Count()))
-		c.CoveredEdges.Iterate(func(id graph.EdgeID) {
+		buf = binary.AppendUvarint(buf, uint64(len(c.CoveredEdges)))
+		for _, id := range c.CoveredEdges {
 			buf = binary.AppendUvarint(buf, uint64(id))
-		})
+		}
 		buf = binary.AppendUvarint(buf, uint64(c.CP))
 		h.Write(buf)
 	}

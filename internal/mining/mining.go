@@ -95,9 +95,11 @@ type Candidate struct {
 	// sorted — P_V relative to the fixed selection of Eq. (1).
 	Covered []graph.NodeID
 	// CoveredEdges is P_E restricted to embeddings anchored at covered group
-	// nodes — the edges the pattern describes — as a dense-EdgeID bitset
-	// (convert with Graph.EdgeSetOf at the public-API boundary).
-	CoveredEdges *graph.EdgeBits
+	// nodes — the edges the pattern describes — as a sorted, duplicate-free
+	// EdgeID list (convert with Graph.EdgeSetOfIDs at the public-API
+	// boundary). A pattern covers a few hundred of the graph's edges, so the
+	// list is a small fraction of a graph-wide bitset.
+	CoveredEdges []graph.EdgeID
 	// CP is the pattern's edge-coverage loss C_P = |E^r_{P_V} \ P_E|.
 	CP int
 	// Fallback marks the full-literal singleton seeds that guarantee every
@@ -394,13 +396,16 @@ func (e *engine) score(p *pattern.Pattern, fallback bool, coveredAnchors []graph
 			}
 		}
 	}
-	// P_E accumulates straight into the candidate's bitset; C_P is one
-	// blocked word sweep over the E_v^r operands.
-	coveredEdges := graph.NewEdgeBits(e.g.EdgeIDBound())
+	// P_E accumulates in a pooled accumulator and leaves it as a sorted
+	// list; C_P is one blocked word sweep over the E_v^r operands with the
+	// accumulator's bitset as the not operand.
+	acc := graph.AcquireEdgeAcc(e.g.EdgeIDBound())
 	for _, v := range scoreNodes {
-		e.m.CoveredEdgeBitsAt(p, v, coveredEdges)
+		e.m.CoveredEdgeBitsAt(p, v, acc)
 	}
-	cp := e.er.UnionAndNotCount(scoreNodes, coveredEdges)
+	cp := e.er.UnionAndNotCount(scoreNodes, acc.Bits())
+	coveredEdges := acc.Sorted()
+	acc.Release()
 	return &Candidate{P: p, Covered: covered, CoveredEdges: coveredEdges, CP: cp, Fallback: fallback}
 }
 

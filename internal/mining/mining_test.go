@@ -129,12 +129,34 @@ func TestSumGenCPConsistency(t *testing.T) {
 	er := NewErCache(g, cfg.Radius)
 	cands := SumGen(g, anchors, anchors, cfg, er)
 	for _, c := range cands {
+		if !strictlyAscending(c.CoveredEdges) {
+			t.Errorf("pattern %s: P_E %v is not sorted and duplicate-free", c.P, c.CoveredEdges)
+		}
 		union := er.UnionOf(c.Covered)
-		want := union.AndNotCount(c.CoveredEdges)
+		want := union.AndNotCount(edgeBitsOf(c.CoveredEdges))
 		if c.CP != want {
 			t.Errorf("pattern %s: CP=%d, recomputed %d", c.P, c.CP, want)
 		}
 	}
+}
+
+// strictlyAscending reports whether ids is sorted with no repeats.
+func strictlyAscending(ids []graph.EdgeID) bool {
+	for i := 1; i < len(ids); i++ {
+		if ids[i] <= ids[i-1] {
+			return false
+		}
+	}
+	return true
+}
+
+// edgeBitsOf returns a P_E list as a bitset.
+func edgeBitsOf(ids []graph.EdgeID) *graph.EdgeBits {
+	b := graph.NewEdgeBits(0)
+	for _, id := range ids {
+		b.Add(id)
+	}
+	return b
 }
 
 func TestSumGenCoverageSortedAndWithinGroups(t *testing.T) {

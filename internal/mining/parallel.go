@@ -10,8 +10,9 @@ import (
 // The parallel scoring pipeline.
 //
 // SumGen's cost is dominated by score(): for every grown pattern it
-// enumerates embeddings per covered node (CoveredEdgeBitsAt) and sweeps
-// r-hop edge sets to compute C_P, after evaluating CoverAmong over the
+// enumerates embeddings per covered node into a pooled P_E accumulator
+// (Matcher.CoveredEdgeBitsAt, graph.EdgeAcc) and sweeps r-hop edge sets to
+// compute C_P, after evaluating CoverAmong over the
 // universe unless the universe is the anchors, whose coverage the producer
 // has already computed. The BFS growth loop itself (pop, prune on anchor
 // coverage, extend) is not free: its CoverAmong over the anchors and the

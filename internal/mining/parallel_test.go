@@ -1,6 +1,7 @@
 package mining
 
 import (
+	"slices"
 	"sync"
 	"testing"
 
@@ -36,14 +37,9 @@ func requireSameCandidates(t *testing.T, want, got []*Candidate) {
 				t.Fatalf("candidate %d (%s): Covered[%d] %d vs %d", i, w.P, j, w.Covered[j], g.Covered[j])
 			}
 		}
-		if w.CoveredEdges.Count() != g.CoveredEdges.Count() {
-			t.Fatalf("candidate %d (%s): |CoveredEdges| %d vs %d", i, w.P, w.CoveredEdges.Count(), g.CoveredEdges.Count())
+		if !slices.Equal(w.CoveredEdges, g.CoveredEdges) {
+			t.Fatalf("candidate %d (%s): CoveredEdges %v vs %v", i, w.P, w.CoveredEdges, g.CoveredEdges)
 		}
-		w.CoveredEdges.Iterate(func(e graph.EdgeID) {
-			if !g.CoveredEdges.Has(e) {
-				t.Fatalf("candidate %d (%s): parallel run missing covered edge %v", i, w.P, e)
-			}
-		})
 	}
 }
 
@@ -226,7 +222,7 @@ func TestSumGenParallelUsesSuppliedCache(t *testing.T) {
 	}
 	for _, c := range cands {
 		union := er.UnionOf(c.Covered)
-		if want := union.AndNotCount(c.CoveredEdges); c.CP != want {
+		if want := union.AndNotCount(edgeBitsOf(c.CoveredEdges)); c.CP != want {
 			t.Fatalf("pattern %s: CP=%d, recomputed %d", c.P, c.CP, want)
 		}
 	}

@@ -275,9 +275,10 @@ func (m *Matcher) MatchAt(p *Pattern, v graph.NodeID) bool {
 // CoveredEdgeBitsAt adds to into the graph edges matched by any pattern edge
 // in any embedding of p anchored at v (up to EmbedCap embeddings), and
 // reports whether at least one embedding exists. This is the hot-path form:
-// callers accumulate P_E over many anchors into one set. CoveredEdgesAt
-// adapts it to the map representation.
-func (m *Matcher) CoveredEdgeBitsAt(p *Pattern, v graph.NodeID, into *graph.EdgeBits) bool {
+// callers accumulate P_E over many anchors into one pooled accumulator,
+// which keeps the IDs as a duplicate-free list. CoveredEdgesAt adapts it to
+// the map representation.
+func (m *Matcher) CoveredEdgeBitsAt(p *Pattern, v graph.NodeID, into *graph.EdgeAcc) bool {
 	c := m.compiledFor(p)
 	if !c.ok || !c.nodeOK(m.g, c.focus, v) {
 		return false
@@ -303,11 +304,12 @@ func (m *Matcher) CoveredEdgeBitsAt(p *Pattern, v graph.NodeID, into *graph.Edge
 // CoveredEdgesAt is CoveredEdgeBitsAt in the map representation, kept for
 // the cold paths (verification, baselines, public API).
 func (m *Matcher) CoveredEdgesAt(p *Pattern, v graph.NodeID) (graph.EdgeSet, bool) {
-	bits := graph.NewEdgeBits(0)
-	if !m.CoveredEdgeBitsAt(p, v, bits) {
+	acc := graph.AcquireEdgeAcc(0)
+	defer acc.Release()
+	if !m.CoveredEdgeBitsAt(p, v, acc) {
 		return nil, false
 	}
-	return m.g.EdgeSetOf(bits), true
+	return m.g.EdgeSetOfIDs(acc.IDs()), true
 }
 
 // CoverAmong returns the subset of candidates covered by p at the focus, in

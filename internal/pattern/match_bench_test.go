@@ -94,7 +94,8 @@ func BenchmarkMatchHubClosingEdge(b *testing.B) {
 			g, _, users := hubGraph(b, sz.hub, sz.links, 1)
 			p := hubPatterns()[0].p
 			m := NewMatcher(g, 512)
-			edges := graph.NewEdgeBits(g.EdgeIDBound())
+			edges := graph.AcquireEdgeAcc(g.EdgeIDBound())
+			defer edges.Release()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				v := users[i%len(users)]

@@ -227,13 +227,15 @@ func TestHubIntersectionMatchesPlainScan(t *testing.T) {
 					if got := m.MatchAt(p, v); got != wantMatch {
 						t.Fatalf("MatchAt(%d) = %v, plain scan says %v", v, got, wantMatch)
 					}
-					gotEdges := graph.NewEdgeBits(0)
-					if got := m.CoveredEdgeBitsAt(p, v, gotEdges); got != wantMatch {
+					acc := graph.AcquireEdgeAcc(0)
+					if got := m.CoveredEdgeBitsAt(p, v, acc); got != wantMatch {
 						t.Fatalf("CoveredEdgeBitsAt(%d) = %v, plain scan says %v", v, got, wantMatch)
 					}
-					if gotEdges.Count() != wantEdges.Count() || gotEdges.AndNotCount(wantEdges) != 0 {
-						t.Fatalf("CoveredEdgeBitsAt(%d): %d edges, plain scan %d, %d not in it", v, gotEdges.Count(), wantEdges.Count(), gotEdges.AndNotCount(wantEdges))
+					gotEdges := acc.Bits()
+					if gotEdges.Count() != wantEdges.Count() || gotEdges.AndNotCount(wantEdges) != 0 || len(acc.IDs()) != wantEdges.Count() {
+						t.Fatalf("CoveredEdgeBitsAt(%d): %d edges (%d listed), plain scan %d, %d not in it", v, gotEdges.Count(), len(acc.IDs()), wantEdges.Count(), gotEdges.AndNotCount(wantEdges))
 					}
+					acc.Release()
 				}
 				got := counts(m)
 				if got.searches != want.searches || got.embeddings != want.embeddings || got.expansions != want.expansions {

@@ -215,25 +215,27 @@ func TestBackEdgeIntoHubAgainstBruteForce(t *testing.T) {
 				}
 				return true
 			})
-			edges := graph.NewEdgeBits(0)
+			edges := graph.AcquireEdgeAcc(0)
 			ok := m.CoveredEdgeBitsAt(p, v, edges)
 			if ok != (len(want) > 0) || ok != m.MatchAt(p, v) {
 				t.Fatalf("%s at %d: matcher says %v, oracle found %d edges", p, v, ok, len(want))
 			}
 			if !ok {
+				edges.Release()
 				continue
 			}
 			matched++
 			got := 0
-			edges.Iterate(func(id graph.EdgeID) {
+			edges.Bits().Iterate(func(id graph.EdgeID) {
 				got++
 				if !want[id] {
 					t.Errorf("%s at %d: covered edge %v is in no oracle embedding", p, v, g.EdgeRefOf(id))
 				}
 			})
-			if got != len(want) {
-				t.Errorf("%s at %d: %d covered edges, oracle has %d", p, v, got, len(want))
+			if got != len(want) || len(edges.IDs()) != len(want) {
+				t.Errorf("%s at %d: %d covered edges (%d listed), oracle has %d", p, v, got, len(edges.IDs()), len(want))
 			}
+			edges.Release()
 		}
 		if matched == 0 || matched == len(xs) {
 			t.Errorf("%s: %d of %d anchors match, want a mix", p, matched, len(xs))

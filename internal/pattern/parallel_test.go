@@ -95,10 +95,11 @@ func TestSearchPoolSharedAcrossGraphs(t *testing.T) {
 		m := NewMatcher(g, 7)
 		out := make([]int, g.NumNodes())
 		for v := range out {
-			edges := graph.NewEdgeBits(0)
+			edges := graph.AcquireEdgeAcc(0)
 			if m.CoveredEdgeBitsAt(p, graph.NodeID(v), edges) {
-				out[v] = 1 + edges.Count()
+				out[v] = 1 + len(edges.IDs())
 			}
+			edges.Release()
 		}
 		return out
 	}

@@ -11,9 +11,9 @@ test:
 	$(GO) test ./...
 
 # The concurrent packages again under the race detector (CI's Race step):
-# the parallel scoring pipeline, the sharded E_v^r cache, the matcher
-# fan-out, the observability collectors (incl. the request tracer and flight
-# recorder), the graph reads they all share, the serving engine's
+# the parallel scoring pipeline with the E_v^r cache and matcher its
+# workers share, the observability collectors (incl. the request tracer and
+# flight recorder), the graph reads they all share, the serving engine's
 # single-writer/many-reader paths, fgstore's background snapshot writer,
 # and fgsbench's workload driver (client and writer goroutines sharing an
 # in-flight counter, a stop flag and the heap sampler).
@@ -55,7 +55,8 @@ bench:
 # with the raw -json stream archived under a dated name for benchstat /
 # bench-compare diffs. The pinned set covers selection (GreedyCover, and
 # k-APXFGS's max coverage over SumGenHub's candidates in KAPXFGSHub), the
-# mining pipeline (SumGen*, including SumGenHub's hub-reaching anchors), the
+# mining pipeline (SumGen*, including SumGenHub's hub-reaching anchors,
+# sequential and through the scoring pool at 1 and 2 workers), the
 # E_v^r cache, the matcher hot paths (hub closing edges included) and
 # canonical codes, the graph substrate, and the fgstore write/recovery paths.
 BENCH_CI_RE := BenchmarkGreedyCover|BenchmarkKAPXFGSHub|BenchmarkSumGen$$|BenchmarkSumGenParallel|BenchmarkSumGenHub|BenchmarkErCacheHit|BenchmarkSumGenObs|BenchmarkMatchAtStar|BenchmarkMatchAtChain3|BenchmarkMatchHubClosingEdge|BenchmarkCoveredEdgesAt|BenchmarkCanonicalCode|BenchmarkErCacheGet|BenchmarkRHopEdges2|BenchmarkAddEdge|BenchmarkAddEdgeHighDegree|BenchmarkHasEdge|BenchmarkWALAppend|BenchmarkRecoveryReplay

@@ -181,7 +181,7 @@ func (m *Maintainer) Apply(delta Delta) (*Summary, int, error) {
 			}
 		}
 		if touches {
-			pi = m.rescore(pi.P)
+			pi = rescore(m.matcher, m.er, pi.P, selected)
 		}
 		if countIn(pi.Covered, selectedSet) > 0 {
 			kept = append(kept, pi)
@@ -192,19 +192,6 @@ func (m *Maintainer) Apply(delta Delta) (*Summary, int, error) {
 
 	m.recover(selected)
 	return m.Summary(), applied, firstErr
-}
-
-// rescore re-evaluates a pattern's cover, covered edges, and C_P against the
-// current graph and selection.
-func (m *Maintainer) rescore(p *pattern.Pattern) PatternInfo {
-	covered := sortNodes(m.matcher.CoverAmong(p, m.sel.Selected()))
-	edges := graph.AcquireEdgeAcc(m.g.EdgeIDBound())
-	defer edges.Release()
-	for _, v := range covered {
-		m.matcher.CoveredEdgeBitsAt(p, v, edges)
-	}
-	cp := m.er.UnionAndNotCount(covered, edges.Bits())
-	return PatternInfo{P: p, Covered: covered, CoveredEdges: m.g.EdgeSetOfIDs(edges.IDs()), CP: cp}
 }
 
 // recover restores the invariant V_p ⊆ P_V by mining locally around the

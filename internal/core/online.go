@@ -297,20 +297,11 @@ func (o *Online) Finish() (*Summary, error) {
 func (o *Online) rescoreAll() {
 	selected := o.sel.Selected()
 	m := pattern.NewMatcher(o.g, o.cfg.Mining.EmbedCap)
-	edges := graph.AcquireEdgeAcc(o.g.EdgeIDBound())
-	defer edges.Release()
 	kept := o.patterns[:0]
 	for _, pi := range o.patterns {
-		covered := sortNodes(m.CoverAmong(pi.P, selected))
-		if len(covered) == 0 {
-			continue
+		if pi = rescore(m, o.er, pi.P, selected); len(pi.Covered) > 0 {
+			kept = append(kept, pi)
 		}
-		edges.Reset()
-		for _, v := range covered {
-			m.CoveredEdgeBitsAt(pi.P, v, edges)
-		}
-		cp := o.er.UnionAndNotCount(covered, edges.Bits())
-		kept = append(kept, PatternInfo{P: pi.P, Covered: covered, CoveredEdges: o.g.EdgeSetOfIDs(edges.IDs()), CP: cp})
 	}
 	o.patterns = kept
 }

@@ -46,9 +46,9 @@ type Config struct {
 	// and incremental algorithms. Default 25.
 	PerNodePatterns int
 	// Workers is the single parallelism knob for the whole pipeline: it flows
-	// into Mining.Workers (candidate scoring pool, matcher fan-out, E_v^r
-	// cache warming) unless that is set explicitly. 0/1 = sequential; results
-	// are identical at any setting.
+	// into Mining.Workers, the size of SumGen's candidate scoring pool,
+	// unless that is set explicitly. 0/1 = sequential; results are identical
+	// at any setting.
 	Workers int
 	// Obs receives phase spans and runtime counters. Nil disables both (Stats
 	// are kept regardless); it flows into Mining.Obs unless that is set.
@@ -97,6 +97,26 @@ func infoOf(g *graph.Graph, cand *mining.Candidate) PatternInfo {
 		pi.CoveredEdges = g.EdgeSetOfIDs(cand.CoveredEdges)
 	}
 	return pi
+}
+
+// rescore re-evaluates p against the selection: P_V is the selected nodes p
+// covers, sorted; P_E the edges of its embeddings at them; C_P the edges of
+// their r-hop neighborhoods P_E misses, counted through er. Inc-FGS rescores
+// the patterns a batch touches, Online every pattern once its stream ends.
+// A pattern covering no selected node comes back with Covered empty.
+func rescore(m *pattern.Matcher, er *mining.ErCache, p *pattern.Pattern, selected []graph.NodeID) PatternInfo {
+	covered := sortNodes(m.CoverAmong(p, selected))
+	if len(covered) == 0 {
+		return PatternInfo{P: p}
+	}
+	g := m.Graph()
+	edges := graph.AcquireEdgeAcc(g.EdgeIDBound())
+	defer edges.Release()
+	for _, v := range covered {
+		m.CoveredEdgeBitsAt(p, v, edges)
+	}
+	cp := er.UnionAndNotCount(covered, edges.Bits())
+	return PatternInfo{P: p, Covered: covered, CoveredEdges: g.EdgeSetOfIDs(edges.IDs()), CP: cp}
 }
 
 // Summary is an r-summary S = (P, C).

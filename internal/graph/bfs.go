@@ -9,8 +9,9 @@ package graph
 // NodeID) drawn from a per-graph sync.Pool: a node is visited iff its stamp
 // equals the scratch's current epoch, so "clearing" between traversals is a
 // single epoch increment instead of an O(n) wipe or a fresh map. The pool
-// hands each concurrent traversal (ErCache.Warm, the parallel scoring
-// pipeline) its own scratch, making the operators safe under -fgs.workers.
+// hands each concurrent traversal (the parallel scoring pipeline, fgsd's
+// concurrent requests) its own scratch, making the operators safe under
+// -fgs.workers.
 
 // visitScratch is one reusable visited-mark array. Invariants: epoch >= 1,
 // stamp[v] <= epoch for all v, and stamp[v] == epoch means "visited in the

@@ -312,7 +312,7 @@ func (g *Graph) EdgeBitsOf(es EdgeSet) *EdgeBits {
 // LabelBits returns the set of nodes carrying the given label as a bitset,
 // built lazily and cached. The returned bitset is immutable and reflects the
 // graph at call time: after AddNode the next call rebuilds. Safe for
-// concurrent use (the matcher fan-out calls it from worker goroutines).
+// concurrent use (SumGen's scoring workers and concurrent requests call it).
 func (g *Graph) LabelBits(lid LabelID) *NodeBits {
 	n := g.NumNodes()
 	g.labelBitsMu.Lock()

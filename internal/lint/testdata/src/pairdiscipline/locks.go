@@ -94,8 +94,8 @@ func mismatchedRead(r *rw) int {
 	return r.v
 }
 
-// The shard-array shape of internal/mining/ercache.go: locks reached
-// through an indexed receiver pair by their full selector path.
+// A lock-striped cache (an array of shards, each with its own mutex): locks
+// reached through an indexed receiver pair by their full selector path.
 type shard struct {
 	mu sync.Mutex
 	m  map[int]int

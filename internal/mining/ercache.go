@@ -1,36 +1,28 @@
 package mining
 
 import (
-	"strconv"
 	"sync"
 
 	"github.com/cwru-db/fgs/internal/graph"
 	"github.com/cwru-db/fgs/internal/obs"
 )
 
-// erShards is the stripe count of ErCache. A modest power of two keeps the
-// per-shard maps small while making lock collisions between scoring workers
-// unlikely (workers touch disjoint covered-node sets most of the time).
-const erShards = 32
-
 // ErCache memoizes per-node r-hop edge sets E_v^r, which SumGen and the FGS
 // algorithms query repeatedly for the same nodes.
 //
-// The cache is safe for concurrent use: entries live in erShards stripes,
-// each behind its own mutex, so the parallel scoring pipeline can share one
-// cache across workers. Entries are EdgeBits — the dense-EdgeID bitsets of
-// the hot paths — returned by reference and immutable by contract (every
-// caller in this repository only reads them or unions them into fresh sets).
-// A freed EdgeID can be reused by a later insertion, but any cached set
-// containing it lies within r hops of the deleted edge's endpoints and is
-// invalidated by the maintenance paths before the ID can be observed stale.
+// The cache is safe for concurrent use: one mutex guards the map and the
+// counters, so SumGen's scoring workers can share one cache. Only they
+// ever do: every request builds its own cache, and fgsd touches the
+// maintainer's only under its write lock. Entries are EdgeBits — the
+// dense-EdgeID bitsets of the hot paths — returned by reference and
+// immutable by contract (every caller in this repository only reads them
+// or unions them into fresh sets). A freed EdgeID can be reused by a later
+// insertion, but any cached set containing it lies within r hops of the
+// deleted edge's endpoints and is invalidated by the maintenance paths
+// before the ID can be observed stale.
 type ErCache struct {
-	g      *graph.Graph
-	r      int
-	shards [erShards]erShard
-}
-
-type erShard struct {
+	g  *graph.Graph
+	r  int
 	mu sync.Mutex
 	m  map[graph.NodeID]*graph.EdgeBits
 	// Always-on counters, read/written under mu the Get/Invalidate paths
@@ -42,11 +34,7 @@ type erShard struct {
 
 // NewErCache returns a cache for radius r over g.
 func NewErCache(g *graph.Graph, r int) *ErCache {
-	c := &ErCache{g: g, r: r}
-	for i := range c.shards {
-		c.shards[i].m = make(map[graph.NodeID]*graph.EdgeBits)
-	}
-	return c
+	return &ErCache{g: g, r: r, m: make(map[graph.NodeID]*graph.EdgeBits)}
 }
 
 // Radius returns the cache's r.
@@ -55,25 +43,20 @@ func (c *ErCache) Radius() int { return c.r }
 // Graph returns the graph the cache computes neighborhoods over.
 func (c *ErCache) Graph() *graph.Graph { return c.g }
 
-func (c *ErCache) shardOf(v graph.NodeID) *erShard {
-	return &c.shards[uint64(v)%erShards]
-}
-
 // Get returns E_v^r, computing and memoizing it on first use. The BFS runs
-// under the shard lock: the graph is read-only during mining, and holding the
+// under the lock: the graph is read-only during mining, and holding the
 // lock means concurrent requests for the same hot node compute it once
 // instead of racing on duplicate work.
 func (c *ErCache) Get(v graph.NodeID) *graph.EdgeBits {
-	s := c.shardOf(v)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if es, ok := s.m[v]; ok {
-		s.hits++
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if es, ok := c.m[v]; ok {
+		c.hits++
 		return es
 	}
-	s.misses++
+	c.misses++
 	es := c.g.RHopEdgeBits(v, c.r)
-	s.m[v] = es
+	c.m[v] = es
 	return es
 }
 
@@ -101,82 +84,27 @@ func (c *ErCache) UnionAndNotCount(nodes []graph.NodeID, not *graph.EdgeBits) in
 // Invalidate drops cached entries for the given nodes (used by Inc-FGS when
 // edge insertions change neighborhoods).
 func (c *ErCache) Invalidate(nodes []graph.NodeID) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	for _, v := range nodes {
-		s := c.shardOf(v)
-		s.mu.Lock()
-		if _, ok := s.m[v]; ok {
-			s.evictions++
-			delete(s.m, v)
+		if _, ok := c.m[v]; ok {
+			c.evictions++
+			delete(c.m, v)
 		}
-		s.mu.Unlock()
 	}
 }
 
-// ObsMetrics snapshots the per-shard hit/miss/eviction counters and the
-// entry count as labeled series, implementing obs.Source. Runs registering
-// fresh caches into one registry merge by summation at Gather time.
+// ObsMetrics snapshots the hit/miss/eviction counters and the entry count,
+// implementing obs.Source. Runs registering fresh caches into one registry
+// merge by summation at Gather time.
 func (c *ErCache) ObsMetrics() []obs.Metric {
-	out := make([]obs.Metric, 0, 3*erShards+1)
-	entries := int64(0)
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		hits, misses, evictions, n := s.hits, s.misses, s.evictions, len(s.m)
-		s.mu.Unlock()
-		entries += int64(n)
-		labels := []obs.Label{{Key: "shard", Val: strconv.Itoa(i)}}
-		out = append(out,
-			obs.Metric{Name: "fgs_ercache_hits_total", Help: "E_v^r cache hits per shard.", Kind: obs.KindCounter, Labels: labels, Value: float64(hits)},
-			obs.Metric{Name: "fgs_ercache_misses_total", Help: "E_v^r cache misses (BFS computations) per shard.", Kind: obs.KindCounter, Labels: labels, Value: float64(misses)},
-			obs.Metric{Name: "fgs_ercache_evictions_total", Help: "E_v^r cache invalidations per shard.", Kind: obs.KindCounter, Labels: labels, Value: float64(evictions)},
-		)
+	c.mu.Lock()
+	hits, misses, evictions, entries := c.hits, c.misses, c.evictions, len(c.m)
+	c.mu.Unlock()
+	return []obs.Metric{
+		{Name: "fgs_ercache_hits_total", Help: "E_v^r cache hits.", Kind: obs.KindCounter, Value: float64(hits)},
+		{Name: "fgs_ercache_misses_total", Help: "E_v^r cache misses (BFS computations).", Kind: obs.KindCounter, Value: float64(misses)},
+		{Name: "fgs_ercache_evictions_total", Help: "E_v^r cache invalidations.", Kind: obs.KindCounter, Value: float64(evictions)},
+		{Name: "fgs_ercache_entries", Help: "Cached E_v^r entries.", Kind: obs.KindGauge, Value: float64(entries)},
 	}
-	out = append(out, obs.Metric{Name: "fgs_ercache_entries", Help: "Cached E_v^r entries across all shards.", Kind: obs.KindGauge, Value: float64(entries)})
-	return out
-}
-
-// Warm precomputes E_v^r for the given nodes across workers goroutines,
-// so subsequent Get calls from scoring workers hit the cache instead of
-// serializing BFS work behind shard locks. workers <= 1 warms sequentially.
-// Duplicate nodes are computed once; Warm returns after every node is cached.
-func (c *ErCache) Warm(nodes []graph.NodeID, workers int) {
-	if len(nodes) == 0 {
-		return
-	}
-	if workers <= 1 || len(nodes) == 1 {
-		for _, v := range nodes {
-			c.Get(v)
-		}
-		return
-	}
-	if workers > len(nodes) {
-		workers = len(nodes)
-	}
-	var next int64
-	var mu sync.Mutex
-	take := func() (graph.NodeID, bool) {
-		mu.Lock()
-		defer mu.Unlock()
-		if int(next) >= len(nodes) {
-			return 0, false
-		}
-		v := nodes[next]
-		next++
-		return v, true
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				v, ok := take()
-				if !ok {
-					return
-				}
-				c.Get(v)
-			}
-		}()
-	}
-	wg.Wait()
 }

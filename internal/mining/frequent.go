@@ -23,20 +23,19 @@ type FreqPattern struct {
 // paper "encourages" informative patterns) and then generation order.
 //
 // The search explores at most cfg.MaxPatterns patterns; cfg.MinCover is
-// overridden by minSup.
+// overridden by minSup. It always runs sequentially: scoring here only
+// copies and sorts the coverage the producer has already computed, so
+// cfg.Workers would buy nothing.
 func Frequent(g *graph.Graph, universe []graph.NodeID, cfg Config, topK, minSup int) []*FreqPattern {
 	cfg = cfg.withDefaults()
 	if minSup < 1 {
 		minSup = 1
 	}
 	cfg.MinCover = minSup
-	m := pattern.NewMatcher(g, cfg.EmbedCap)
-	m.SetWorkers(cfg.Workers)
 	eng := &engine{
 		g:                g,
-		m:                m,
+		m:                pattern.NewMatcher(g, cfg.EmbedCap),
 		cfg:              cfg,
-		er:               NewErCache(g, cfg.Radius),
 		universe:         universe,
 		anchors:          universe,
 		anchSet:          graph.NodeSetOf(universe),
@@ -46,11 +45,7 @@ func Frequent(g *graph.Graph, universe []graph.NodeID, cfg Config, topK, minSup 
 		noFallback:       true,
 	}
 	eng.buildTemplates()
-	if cfg.Workers > 1 {
-		eng.runParallel()
-	} else {
-		eng.run()
-	}
+	eng.run()
 
 	out := make([]*FreqPattern, 0, len(eng.out))
 	for _, c := range eng.out {

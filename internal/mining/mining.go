@@ -48,13 +48,11 @@ type Config struct {
 	// sets it: the paper's UpdateP works at node level (cost O(|E_v^r| +
 	// N_v·T_I)), and the final summary re-scores patterns globally anyway.
 	ScoreAnchorsOnly bool
-	// Workers parallelizes the mine→score pipeline: candidate scoring
+	// Workers parallelizes SumGen's mine→score pipeline: candidate scoring
 	// (coverage evaluation, covered-edge collection, C_P) runs on a pool of
-	// this many goroutines with results committed in generation order, the
-	// matcher splits large coverage evaluations across the same count
-	// (pattern.Matcher.SetWorkers), and the E_v^r cache is pre-warmed in
-	// parallel. 0/1 = fully sequential. Output is byte-identical either way;
-	// see runParallel for the determinism argument.
+	// this many goroutines with results committed in generation order.
+	// 0/1 = fully sequential. Output is byte-identical either way; see
+	// runParallel for the determinism argument. Frequent ignores it.
 	Workers int
 	// Obs receives the engine's runtime counters (queue depth, speculation
 	// discards, prunes) and the matcher's search counters. Nil disables
@@ -135,7 +133,6 @@ func SumGen(g *graph.Graph, anchors []graph.NodeID, universe []graph.NodeID, cfg
 		er = NewErCache(g, cfg.Radius)
 	}
 	m := pattern.NewMatcher(g, cfg.EmbedCap)
-	m.SetWorkers(cfg.Workers)
 	eng := &engine{
 		g:                g,
 		m:                m,
@@ -156,13 +153,6 @@ func SumGen(g *graph.Graph, anchors []graph.NodeID, universe []graph.NodeID, cfg
 	}
 	eng.buildTemplates()
 	if cfg.Workers > 1 {
-		// Pre-warm E_v^r for every node score() can touch, so workers read
-		// the cache instead of serializing BFS work behind shard locks.
-		if cfg.ScoreAnchorsOnly {
-			er.Warm(anchors, cfg.Workers)
-		} else {
-			er.Warm(universe, cfg.Workers)
-		}
 		eng.runParallel()
 	} else {
 		eng.run()
@@ -175,7 +165,7 @@ type engine struct {
 	g        *graph.Graph
 	m        *pattern.Matcher
 	cfg      Config
-	er       *ErCache
+	er       *ErCache // nil under skipScore, which never counts C_P
 	universe []graph.NodeID
 	anchors  []graph.NodeID
 	anchSet  graph.NodeSet

@@ -59,21 +59,6 @@ func BenchmarkSumGenParallel(b *testing.B) {
 	}
 }
 
-// BenchmarkErCacheWarm measures parallel pre-warming of E_v^r across worker
-// counts (workers=1 is a plain sequential fill).
-func BenchmarkErCacheWarm(b *testing.B) {
-	g, _ := benchNetwork(b, 4000)
-	nodes := g.NodesWithLabel("user")[:1000]
-	for _, w := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				NewErCache(g, 2).Warm(nodes, w)
-			}
-		})
-	}
-}
-
 func BenchmarkFrequent(b *testing.B) {
 	g, _ := benchNetwork(b, 2000)
 	universe := g.NodesWithLabel("user")[:500]
@@ -105,5 +90,23 @@ func BenchmarkSumGenHub(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		SumGen(g, anchors, anchors, cfg, NewErCache(g, 2))
+	}
+}
+
+// BenchmarkSumGenHubParallel runs BenchmarkSumGenHub's graph and anchors
+// through the scoring pipeline at 1 and 2 workers: fgsd mines at
+// GOMAXPROCS workers, BenchmarkSumGenHub at the sequential default. The
+// output is the same at both counts; only the wall time may differ.
+func BenchmarkSumGenHubParallel(b *testing.B) {
+	g := gen.LKISized(1, 20000)
+	anchors := nodesWith(g, "user", "city", "c0", "c1")[:8]
+	for _, w := range []int{1, 2} {
+		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
+			cfg := Config{Radius: 2, Workers: w}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				SumGen(g, anchors, anchors, cfg, NewErCache(g, 2))
+			}
+		})
 	}
 }

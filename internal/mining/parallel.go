@@ -171,10 +171,12 @@ func (e *engine) runParallel() {
 		// Anti-monotone pruning stays eager on the producer, since extensions
 		// need coveredAnchors. This search is not cheap: it runs on the one
 		// producer goroutine, serially with generation, and took 13–19% of
-		// the CPU in profiles of perfbench's summarize workload. The matcher
-		// splits it across workers only for anchor sets of parallelThreshold
-		// nodes or more. When the universe is the anchors, score reuses the
-		// result rather than repeating the search.
+		// the CPU in profiles of perfbench's summarize workload. It is not
+		// split across goroutines: the anchors lie in the fair selection
+		// V_p, which FairSelect caps at n and at the groups' summed upper
+		// bounds (8 nodes on perfbench's summarize groups). When the
+		// universe is the anchors, score reuses the result rather than
+		// repeating the search.
 		coveredAnchors := e.m.CoverAmong(p, e.anchors)
 		if len(coveredAnchors) < e.cfg.MinCover {
 			if e.mm != nil {

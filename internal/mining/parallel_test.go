@@ -155,26 +155,40 @@ func TestFrequentParallelMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestErCacheWarm checks parallel pre-warming produces exactly the sets a
-// cold Get computes.
-func TestErCacheWarm(t *testing.T) {
+// TestErCacheComputesOnce has eight goroutines Get overlapping node sets
+// from one cache, with no Invalidate: every set must equal a direct BFS, and
+// the BFS must run once per distinct node, since it runs under the lock
+// that concurrent Gets of one node share.
+func TestErCacheComputesOnce(t *testing.T) {
 	g := gen.LKI(19, 1)
-	nodes := labelNodes(g, "user", 50)
-	// Duplicates must be harmless.
-	nodes = append(nodes, nodes[:5]...)
+	nodes := labelNodes(g, "user", 48)
 	er := NewErCache(g, 2)
-	er.Warm(nodes, 8)
-	for _, v := range nodes {
-		want := g.RHopEdgeBits(v, 2)
-		got := er.Get(v)
-		if got.Count() != want.Count() {
-			t.Fatalf("node %d: warmed E_v^r has %d edges, direct %d", v, got.Count(), want.Count())
-		}
-		want.Iterate(func(e graph.EdgeID) {
-			if !got.Has(e) {
-				t.Fatalf("node %d: warmed E_v^r missing edge %d", v, e)
+	var wg sync.WaitGroup
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func(off int) {
+			defer wg.Done()
+			// Each goroutine reads half the nodes from its own offset, so
+			// every node is wanted by several goroutines at once.
+			for i := 0; i < len(nodes)/2; i++ {
+				v := nodes[(off+i)%len(nodes)]
+				got, want := er.Get(v), g.RHopEdgeBits(v, 2)
+				if got.Count() != want.Count() || got.AndNotCount(want) != 0 {
+					t.Errorf("node %d: cached E_v^r has %d edges, %d not in the direct BFS of %d", v, got.Count(), got.AndNotCount(want), want.Count())
+					return
+				}
 			}
-		})
+		}(w * 6)
+	}
+	wg.Wait()
+	misses := 0.0
+	for _, m := range er.ObsMetrics() {
+		if m.Name == "fgs_ercache_misses_total" {
+			misses += m.Value
+		}
+	}
+	if int(misses) != len(nodes) {
+		t.Fatalf("%v misses over %d distinct nodes: some E_v^r was computed more than once", misses, len(nodes))
 	}
 }
 

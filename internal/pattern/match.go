@@ -20,20 +20,19 @@ import (
 type Matcher struct {
 	g        *graph.Graph
 	EmbedCap int
-	workers  int // see SetWorkers
 
 	// Compile cache, keyed by pattern identity. Patterns are immutable
 	// (AddLeaf/AddLiteral/AddClosingEdge return copies), so the pointer is a
-	// sound canonical key. Guarded by cacheMu because the mining fan-out and
-	// coverAmongParallel call the matcher from worker goroutines. Entries
-	// with ok=false are stamped with the graph's interner universe sizes and
-	// recompiled once the universes grow (see compiledFor).
+	// sound canonical key. Guarded by cacheMu because SumGen's scoring
+	// workers share one matcher with its producer. Entries with ok=false are
+	// stamped with the graph's interner universe sizes and recompiled once
+	// the universes grow (see compiledFor).
 	cacheMu sync.RWMutex
 	cache   map[*Pattern]*compiled
 
 	// Backtracking-search counters, accumulated in locals during each search
 	// call and flushed with a handful of atomic adds at the end — safe under
-	// the parallel CoverAmong fan-out, invisible in profiles.
+	// concurrent searches, invisible in profiles.
 	searches   obs.Counter
 	embeddings obs.Counter
 	expansions obs.Counter
@@ -313,15 +312,11 @@ func (m *Matcher) CoveredEdgesAt(p *Pattern, v graph.NodeID) (graph.EdgeSet, boo
 }
 
 // CoverAmong returns the subset of candidates covered by p at the focus, in
-// input order. With SetWorkers(>1), large candidate lists are evaluated in
-// parallel; the result is identical either way.
+// input order.
 func (m *Matcher) CoverAmong(p *Pattern, candidates []graph.NodeID) []graph.NodeID {
 	c := m.compiledFor(p)
 	if !c.ok {
 		return nil
-	}
-	if m.workers > 1 && len(candidates) >= parallelThreshold {
-		return m.coverAmongParallel(c, candidates)
 	}
 	var covered []graph.NodeID
 	for _, v := range candidates {
@@ -367,8 +362,8 @@ func (m *Matcher) Matches(p *Pattern) []graph.NodeID {
 // means v is an image of an already-placed pattern node). Unmarking during
 // backtracking writes stamp[v] = 0, which can never equal the epoch (epoch
 // >= 1), so a search leaves no state the next epoch could misread. Each
-// concurrent search (coverAmongParallel, the mining score workers) acquires
-// its own scratch from searchPool.
+// concurrent search (SumGen's scoring workers, fgsd's concurrent requests)
+// acquires its own scratch from searchPool.
 type searchScratch struct {
 	assign []graph.NodeID
 	stamp  []uint32

@@ -105,3 +105,14 @@ func BenchmarkMatchHubClosingEdge(b *testing.B) {
 		})
 	}
 }
+
+func BenchmarkCoverAmongSequential(b *testing.B) {
+	g := benchSocialGraph(b, 4000)
+	m := NewMatcher(g, 0)
+	p := star()
+	cands := g.NodesWithLabel("user")
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m.CoverAmong(p, cands)
+	}
+}
